@@ -7,10 +7,10 @@ serial engine per sweep, no dedup, no cache) by >= 3x on a fig11-style
 session, and its dedup/cache/backend counters must be bit-for-bit
 deterministic so CI can assert them exactly.
 
-A second benchmark sweeps one grid slice through every registered
-execution backend (serial, process, socket-over-localhost) and pins
-each backend's scheduling counters plus result parity — the speedup
-number stays a process-backend property, but no backend may drift.
+A second benchmark sweeps one grid slice through both execution
+backends (serial, process) and pins each backend's scheduling counters
+plus result parity — the speedup number stays a process-backend
+property, but neither backend may drift.
 
 The session is three sweeps, the shape design-space exploration tools
 actually produce (EdgeProg/Approxify-style repeated what-if grids):
@@ -32,7 +32,7 @@ import time
 from conftest import run_once
 from test_fig11_multi_app import SCHEMES, fig11_factory, fig11_grid
 
-from repro.core import ANALYTIC_RTOL, ScenarioEngine, WorkerAgent, run_sweep
+from repro.core import ANALYTIC_RTOL, ScenarioEngine, run_sweep
 from repro.core.backends import backend_names
 from repro.workloads import FIG11_COMBOS
 
@@ -62,7 +62,7 @@ def _update_baseline(section: str, payload: dict) -> None:
         document = _load_baseline()
     except FileNotFoundError:
         document = {}
-    document["version"] = 3
+    document["version"] = 4
     document[section] = payload
     with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -193,16 +193,12 @@ def test_sweep_session_throughput(benchmark, figure_printer):
 
 
 # ----------------------------------------------------------------------
-# per-backend dimension: every registered backend, one grid slice
+# per-backend dimension: both backends, one grid slice
 # ----------------------------------------------------------------------
 
 #: First four fig11 combos x three schemes — big enough to fan out into
-#: several chunks on every backend, small enough that the GIL-bound
-#: localhost socket pass stays cheap.
+#: several chunks on the process backend, small enough to stay cheap.
 BACKEND_SLICE_POINTS = 12
-
-#: Socket workers for the localhost pass (chunking depends on it).
-SOCKET_WORKERS = 2
 
 
 def _backend_grid():
@@ -212,33 +208,22 @@ def _backend_grid():
 
 def _run_backend_session(name):
     """One sweep of the slice on ``name``; records + scheduling counters."""
-    agents = []
-    hosts = None
-    if name == "socket":
-        agents = [WorkerAgent().start() for _ in range(SOCKET_WORKERS)]
-        hosts = [agent.address for agent in agents]
-    try:
-        started = time.perf_counter()
-        with ScenarioEngine(
-            workers=WARM_WORKERS, backend=name, backend_hosts=hosts
-        ) as engine:
-            sweep = run_sweep(_backend_grid(), fig11_factory, engine=engine)
-            counters = {
-                key: value
-                for key, value in engine.metrics.snapshot().items()
-                if key.startswith("backend_") and isinstance(value, int)
-            }
-            counters["scenarios_run"] = engine.metrics.scenarios_run
-        wall_s = time.perf_counter() - started
-        return _records(sweep), counters, wall_s
-    finally:
-        for agent in agents:
-            agent.stop()
+    started = time.perf_counter()
+    with ScenarioEngine(workers=WARM_WORKERS, backend=name) as engine:
+        sweep = run_sweep(_backend_grid(), fig11_factory, engine=engine)
+        counters = {
+            key: value
+            for key, value in engine.metrics.snapshot().items()
+            if key.startswith("backend_") and isinstance(value, int)
+        }
+        counters["scenarios_run"] = engine.metrics.scenarios_run
+    wall_s = time.perf_counter() - started
+    return _records(sweep), counters, wall_s
 
 
 def test_backend_dimension_parity(benchmark, figure_printer):
-    """Every registered backend produces bit-identical sweep records and
-    the exact scheduling counters committed in the baseline."""
+    """Both backends produce bit-identical sweep records and the exact
+    scheduling counters committed in the baseline."""
 
     def measure():
         return {
@@ -262,7 +247,6 @@ def test_backend_dimension_parity(benchmark, figure_printer):
             {
                 "session": {
                     "grid": "fig11[:12]",
-                    "socket_workers": SOCKET_WORKERS,
                     "warm_workers": WARM_WORKERS,
                 },
                 "deterministic": counters,
@@ -281,8 +265,7 @@ def test_backend_dimension_parity(benchmark, figure_printer):
         "\n".join(
             f"{name:<8} {BACKEND_SLICE_POINTS} points in "
             f"{session[2]:.2f} s — "
-            f"{session[1]['backend_dispatches']} chunk(s), "
-            f"{session[1]['backend_retries']} retried"
+            f"{session[1]['backend_dispatches']} chunk(s)"
             for name, session in sorted(sessions.items())
         ),
     )

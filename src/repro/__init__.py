@@ -23,7 +23,6 @@ from .core import (
     RunResult,
     Scenario,
     ScenarioEngine,
-    ScenarioRunner,
     Scheme,
     SchemeExecutor,
     check_offloadable,
@@ -47,7 +46,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScenarioEngine",
-    "ScenarioRunner",
     "Scheme",
     "SchemeExecutor",
     "__version__",

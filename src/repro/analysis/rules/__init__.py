@@ -5,7 +5,6 @@ One module per rule family — mirror this layout (and see
 """
 
 from . import (  # noqa: F401
-    backends,
     determinism,
     docs,
     errors,
@@ -15,7 +14,6 @@ from . import (  # noqa: F401
 )
 
 __all__ = [
-    "backends",
     "determinism",
     "docs",
     "errors",

@@ -128,7 +128,7 @@ class PickleLambdaRule(ProgramRule):
     rule_id = "program-pickle-lambda"
     description = (
         "a lambda passed into submit_batch()/pickle.dumps() — lambdas"
-        " never pickle, so every remote backend breaks; use a"
+        " never pickle, so the process backend breaks; use a"
         " module-level function"
     )
 

@@ -10,11 +10,9 @@ from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerAgent,
+    adaptive_chunk_size,
     backend_names,
     create_backend,
-    register_backend,
 )
 from .cache import (
     CacheStats,
@@ -37,7 +35,7 @@ from .engine import (
     scenario_fingerprint,
     scenario_group_key,
 )
-from .executor import ScenarioRunner, run_apps, run_scenario
+from .executor import run_apps, run_scenario
 from .fastforward import try_fast_forward
 from .results import RunResult, routine_busy_times
 from .scenario import Scenario, Scheme
@@ -48,7 +46,6 @@ from .schemes import (
     register_scheme,
     scheme_names,
 )
-from .pool import WorkerPool, adaptive_chunk_size
 from .sweeps import Sweep, SweepPoint, grid_of, run_sweep
 
 __all__ = [
@@ -65,17 +62,13 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScenarioEngine",
-    "ScenarioRunner",
     "Scheme",
     "SchemeContext",
     "SchemeExecutor",
     "SerialBackend",
-    "SocketBackend",
     "Sweep",
     "SweepPoint",
     "TieredResultCache",
-    "WorkerAgent",
-    "WorkerPool",
     "adaptive_chunk_size",
     "analytic_scenario_result",
     "average_savings",
@@ -87,7 +80,6 @@ __all__ = [
     "compare_schemes",
     "grid_of",
     "iter_schemes",
-    "register_backend",
     "register_scheme",
     "routine_busy_times",
     "run_apps",

@@ -1,25 +1,22 @@
-"""Pluggable execution backends for the scenario engine.
-
-Importing this package registers the three stock backends:
+"""Execution backends for the scenario engine.
 
 ========== ==================================================== =========
 name       runs tasks                                           parallel
 ========== ==================================================== =========
 serial     inline in the calling process (debug/CI default)    no
 process    on a persistent local process pool                   yes
-socket     across ``repro-iot worker`` agents on other hosts    yes
 ========== ==================================================== =========
 
 Pick one by name with :func:`create_backend` (what the engine and the
-CLI's ``--backend`` flag use), or register your own — see
-``docs/extending.md``.
+CLI's ``--backend`` flag use).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Dict, Optional, Tuple, Type
 
+from ...errors import BackendError
 from .base import (
     CHUNKS_PER_WORKER,
     ExecutionBackend,
@@ -28,26 +25,28 @@ from .base import (
     run_chunk,
 )
 from .process import ProcessPoolBackend
-from .registry import (
-    backend_names,
-    get_backend,
-    iter_backends,
-    register_backend,
-    unregister_backend,
-)
 from .serial import SerialBackend
-from .sockets import SocketBackend, WorkerAgent, parse_hosts
 
 #: Environment variable selecting the default backend by name.
 BACKEND_ENV = "REPRO_BACKEND"
+
+_BACKENDS: Dict[str, Type[ExecutionBackend]] = {
+    "serial": SerialBackend,
+    "process": ProcessPoolBackend,
+}
+
+
+def backend_names() -> Tuple[str, ...]:
+    """The backend names :func:`create_backend` accepts."""
+    return tuple(_BACKENDS)
 
 
 def default_backend_name(workers: int = 1) -> str:
     """The backend used when none is named explicitly.
 
     ``$REPRO_BACKEND`` wins (that is how CI re-runs the suite per
-    backend); otherwise the engine's historical heuristic applies —
-    a process pool when ``workers > 1``, inline execution otherwise.
+    backend); otherwise a process pool when ``workers > 1``, inline
+    execution otherwise.
     """
     env = os.environ.get(BACKEND_ENV)
     if env:
@@ -56,18 +55,22 @@ def default_backend_name(workers: int = 1) -> str:
 
 
 def create_backend(
-    name: Optional[str] = None,
-    workers: int = 1,
-    hosts: Optional[Sequence[str]] = None,
+    name: Optional[str] = None, workers: int = 1
 ) -> ExecutionBackend:
     """Instantiate a backend by name via each class's ``create`` hook.
 
     ``name=None`` falls back to :func:`default_backend_name`.  Raises
-    :class:`~repro.errors.BackendError` for unknown names or missing
-    required configuration (e.g. a socket backend with no hosts).
+    :class:`~repro.errors.BackendError` for unknown names.
     """
     resolved = name or default_backend_name(workers)
-    return get_backend(resolved).create(workers=workers, hosts=hosts)
+    try:
+        cls = _BACKENDS[resolved]
+    except KeyError:
+        known = ", ".join(_BACKENDS)
+        raise BackendError(
+            f"unknown backend {resolved!r} (known: {known})"
+        ) from None
+    return cls.create(workers=workers)
 
 
 __all__ = [
@@ -76,17 +79,10 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SocketBackend",
-    "WorkerAgent",
     "adaptive_chunk_size",
     "backend_names",
     "chunked",
     "create_backend",
     "default_backend_name",
-    "get_backend",
-    "iter_backends",
-    "parse_hosts",
-    "register_backend",
     "run_chunk",
-    "unregister_backend",
 ]

@@ -10,24 +10,16 @@ one method:
     thousands of tiny tasks don't pay one round-trip each.
 
 plus a uniform lifecycle (``open``/``close``/context manager, both
-idempotent), capability flags the engine consults
-(:attr:`ExecutionBackend.parallel`, :attr:`~ExecutionBackend.remote`,
-:attr:`~ExecutionBackend.multi_host`) and four counters every backend
-maintains identically (``spawns``/``dispatches``/``tasks``/``retries``)
-so tests and the perf-guard can assert scheduling behavior exactly.
-
-Backends register by name in :mod:`repro.core.backends.registry` —
-one module, one ``@register_backend`` class, mirroring the scheme
-registry — and are then addressable everywhere a backend is chosen
-(``ScenarioEngine(backend="...")``, ``run_sweep``, the CLI's
-``--backend`` flag).
+idempotent), the :attr:`ExecutionBackend.parallel` capability flag the
+engine consults and three counters every backend maintains identically
+(``spawns``/``dispatches``/``tasks``) so tests and the perf-guard can
+assert scheduling behavior exactly.
 
 Error attribution: a task that raises inside a dispatched chunk is
 re-raised as :class:`~repro.errors.ChunkTaskError` carrying the
 batch-global item index and the caller's label for that item, so a
 failure in point 713 of a grid names the scenario instead of an
-anonymous chunk — and so a multi-host backend knows the chunk genuinely
-failed (never retry) rather than the transport (retry elsewhere).
+anonymous chunk.
 """
 
 from __future__ import annotations
@@ -82,7 +74,7 @@ def run_chunk(
     caller's label for it, so the parent can report *which* item failed
     instead of losing it inside an anonymous chunk.  Library errors a
     caller wants per-item must be captured inside ``fn`` itself (the
-    engine's ``_run_remote`` does exactly that); anything escaping here
+    engine's ``_run_task`` does exactly that); anything escaping here
     is treated as a batch-aborting failure.
     """
     results: List[Any] = []
@@ -112,47 +104,35 @@ ChunkPlan = Tuple[int, Sequence[Any], Optional[Sequence[str]]]
 class ExecutionBackend:
     """Base class and protocol for execution backends.
 
-    Subclass in its own module under ``core/backends/``, register with
-    ``@register_backend("<name>")``, implement :meth:`submit_batch`
-    (and, when the backend owns external resources, :meth:`open` /
-    :meth:`close`), and set the capability flags.  The four counters
-    are part of the contract — ``tests/test_backends_contract.py``
-    asserts them for every registered backend.
+    Subclasses implement :meth:`submit_batch` (and, when the backend
+    owns external resources, :meth:`open` / :meth:`close`) and set the
+    capability flag.  The three counters are part of the contract —
+    ``tests/test_backends_contract.py`` asserts them for every backend.
     """
 
-    #: Registry name; assigned by ``@register_backend``.
+    #: Name :func:`~repro.core.backends.create_backend` knows it by.
     name: str = ""
-    #: Whether independent chunks may genuinely run concurrently.
+    #: Whether independent chunks run concurrently in other processes
+    #: (everything must pickle; the engine strips live hubs before
+    #: dispatch).
     parallel: bool = False
-    #: Whether results cross a process/host boundary (everything must
-    #: pickle; the engine strips live hubs before dispatch).
-    remote: bool = False
-    #: Whether the backend fans out to more than one host.
-    multi_host: bool = False
 
     def __init__(self) -> None:
-        #: Workers/processes/connections brought up (1 == perfect reuse).
+        #: Workers/processes brought up (1 == perfect reuse).
         self.spawns = 0
         #: Chunks dispatched (each one round-trip to a worker).
         self.dispatches = 0
         #: Individual tasks shipped inside those chunks.
         self.tasks = 0
-        #: Chunks re-dispatched after a lost worker or timed-out reply.
-        self.retries = 0
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        workers: int = 1,
-        hosts: Optional[Sequence[str]] = None,
-    ) -> "ExecutionBackend":
-        """Build an instance from the engine's generic options.
+    def create(cls, workers: int = 1) -> "ExecutionBackend":
+        """Build an instance from the engine's ``workers`` option.
 
-        ``workers`` sizes local fan-out; ``hosts`` addresses remote
-        workers.  Backends that need neither ignore both.
+        The serial backend ignores it.
         """
         return cls()
 
@@ -199,15 +179,6 @@ class ExecutionBackend:
         its index and label.
         """
         raise NotImplementedError
-
-    def map(
-        self,
-        fn: Callable[[ItemT], ResultT],
-        items: Sequence[ItemT],
-        chunk_size: Optional[int] = None,
-    ) -> List[ResultT]:
-        """Backward-compatible alias of :meth:`submit_batch`."""
-        return self.submit_batch(fn, items, chunk_size=chunk_size)
 
     # ------------------------------------------------------------------
     # shared plumbing for implementations

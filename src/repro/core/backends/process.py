@@ -1,4 +1,4 @@
-"""The local process-pool backend (the historical ``WorkerPool``).
+"""The local process-pool backend.
 
 ``concurrent.futures.ProcessPoolExecutor`` is the right local fan-out
 primitive, but the seed engine paid for it badly: every batch forked a
@@ -32,10 +32,8 @@ from .base import (
     adaptive_chunk_size,
     run_chunk,
 )
-from .registry import register_backend
 
 
-@register_backend("process")
 class ProcessPoolBackend(ExecutionBackend):
     """A lazily-spawned, reusable process pool with chunked dispatch.
 
@@ -44,9 +42,8 @@ class ProcessPoolBackend(ExecutionBackend):
     :meth:`submit_batch` (counted in ``spawns``).
     """
 
+    name = "process"
     parallel = True
-    remote = True
-    multi_host = False
 
     def __init__(self, max_workers: int) -> None:
         super().__init__()
@@ -56,9 +53,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._executor: Optional[ProcessPoolExecutor] = None
 
     @classmethod
-    def create(
-        cls, workers: int = 1, hosts: Optional[Sequence[str]] = None
-    ) -> "ProcessPoolBackend":
+    def create(cls, workers: int = 1) -> "ProcessPoolBackend":
         """Build a pool sized by the engine's ``workers`` option."""
         return cls(max_workers=workers)
 

@@ -14,16 +14,13 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from .base import ExecutionBackend, ItemT, ResultT, run_chunk
-from .registry import register_backend
 
 
-@register_backend("serial")
 class SerialBackend(ExecutionBackend):
     """Run every task inline in the calling process."""
 
+    name = "serial"
     parallel = False
-    remote = False
-    multi_host = False
 
     def submit_batch(
         self,

@@ -227,12 +227,10 @@ class DiskResultCache:
     # maintenance: stats / gc / clear
     # ------------------------------------------------------------------
     def entries(self) -> List[Tuple[str, int, float]]:
-        """Every entry as ``(path, size_bytes, mtime)``, sorted by path.
+        """Every sharded entry as ``(path, size_bytes, mtime)``, by path.
 
-        Covers both the sharded layout and legacy flat ``<root>/*.pkl``
-        files from older library versions, so ``gc``/``clear`` reclaim
-        pre-shard caches too.  Entries that vanish mid-scan (a
-        concurrent ``clear``) are skipped.
+        Entries that vanish mid-scan (a concurrent ``clear``) are
+        skipped.
         """
         found: List[Tuple[str, int, float]] = []
         for path in sorted(self._iter_entry_paths()):
@@ -250,24 +248,20 @@ class DiskResultCache:
             return
         for name in names:
             child = os.path.join(self.root, name)
-            if name.endswith(".pkl") and os.path.isfile(child):
-                yield child  # legacy flat layout
-            elif os.path.isdir(child):
-                try:
-                    inner_names = sorted(os.listdir(child))
-                except OSError:
-                    continue
-                for inner in inner_names:
-                    if inner.endswith(".pkl"):
-                        yield os.path.join(child, inner)
+            if not os.path.isdir(child):
+                continue
+            try:
+                inner_names = sorted(os.listdir(child))
+            except OSError:
+                continue
+            for inner in inner_names:
+                if inner.endswith(".pkl"):
+                    yield os.path.join(child, inner)
 
     def stats(self) -> CacheStats:
         """Entry count, total bytes and shard-directory count."""
         entries = self.entries()
-        shard_dirs = len(
-            {os.path.dirname(path) for path, _, _ in entries}
-            - {self.root}
-        )
+        shard_dirs = len({os.path.dirname(path) for path, _, _ in entries})
         return CacheStats(
             root=self.root,
             entries=len(entries),

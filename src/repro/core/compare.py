@@ -20,7 +20,6 @@ def compare_grid(
     workers: int = 1,
     cache_dir: Optional[Any] = None,
     backend: Optional[str] = None,
-    backend_hosts: Optional[Sequence[str]] = None,
     fidelity: Optional[str] = None,
 ) -> Dict[Tuple[str, ...], Dict[str, RunResult]]:
     """Run every app set under every scheme through ONE engine batch.
@@ -29,8 +28,8 @@ def compare_grid(
     :meth:`~repro.core.engine.ScenarioEngine.run_batch` call, so one
     execution backend, one memory cache and one dedup pass serve the
     entire comparison — instead of a fresh engine (and worker spawn)
-    per scheme.  ``backend``/``backend_hosts`` choose where the grid
-    executes (results are bit-identical across backends).  ``fidelity``
+    per scheme.  ``backend`` chooses where the grid executes (results
+    are bit-identical across backends).  ``fidelity``
     overrides the engine's tier for this grid (``"auto"`` is a natural
     fit here: the batch holds every scheme of each app set, so the
     planner confirms exactly the per-set frontier).  Returns
@@ -38,10 +37,7 @@ def compare_grid(
     """
     owns_engine = engine is None
     engine = engine or ScenarioEngine(
-        workers=workers,
-        cache_dir=cache_dir,
-        backend=backend,
-        backend_hosts=backend_hosts,
+        workers=workers, cache_dir=cache_dir, backend=backend
     )
     keys = [tuple(app_ids) for app_ids in app_sets]
     scenarios = [
@@ -81,7 +77,6 @@ def compare_schemes(
     workers: int = 1,
     cache_dir=None,
     backend: Optional[str] = None,
-    backend_hosts: Optional[Sequence[str]] = None,
     fidelity: Optional[str] = None,
 ) -> Dict[str, RunResult]:
     """Run the same apps under several schemes; returns results by scheme.
@@ -102,7 +97,6 @@ def compare_schemes(
         workers=workers,
         cache_dir=cache_dir,
         backend=backend,
-        backend_hosts=backend_hosts,
         fidelity=fidelity,
     )
     return grid[tuple(app_ids)]

@@ -20,7 +20,7 @@ orthogonal ways:
   order), so those scenarios always run as given.
 * **Fan-out** — independent scenarios run through a pluggable
   :class:`~repro.core.backends.ExecutionBackend` chosen by name
-  (``backend="serial" | "process" | "socket"``, or the
+  (``backend="serial" | "process"``, or the
   ``REPRO_BACKEND`` environment variable; the default follows the
   historical heuristic — a persistent process pool when ``workers>1``,
   inline execution otherwise).  Backends own *where* tasks run; the
@@ -28,7 +28,7 @@ orthogonal ways:
   backend-independent, so grid results are bit-identical across
   backends.
 
-Cache and remote-backend paths strip the live
+Cache and process-backend paths strip the live
 :class:`~repro.hw.board.IoTHub` from the result (it holds running
 generators and is neither picklable nor meaningful outside the run);
 in-process serial runs keep it attached, preserving the historical
@@ -230,8 +230,9 @@ def strip_hub(result: RunResult) -> RunResult:
     return dataclasses.replace(result, hub=None)
 
 
-#: One dispatched unit: (pending position, scenario, fast_forward flag).
-_Task = Tuple[int, Scenario, bool]
+#: One dispatched unit: (pending position, scenario, fast_forward flag,
+#: strip-the-hub flag).
+_Task = Tuple[int, Scenario, bool, bool]
 #: One runner outcome: position, result-or-None, error-or-None, and the
 #: (pid, wall_seconds) pair feeding the engine's per-worker accounting.
 _TaskOutcome = Tuple[
@@ -239,36 +240,21 @@ _TaskOutcome = Tuple[
 ]
 
 
-def _run_remote(item: _Task) -> _TaskOutcome:
-    """Remote-backend task: run one scenario, capturing library errors.
+def _run_task(item: _Task) -> _TaskOutcome:
+    """Backend task: run one scenario, capturing library errors.
 
-    Results are stripped of their live hub (they cross a process/host
-    boundary and must pickle).  Unexpected exceptions propagate — as a
+    With the strip flag set (a parallel backend, whose results cross a
+    process boundary and must pickle) the result loses its live hub.
+    Unexpected exceptions propagate — as a
     :class:`~repro.errors.ChunkTaskError` naming the failing scenario —
     so real bugs surface in the parent instead of hiding in sweep
     output.
     """
-    index, scenario, fast_forward = item
+    index, scenario, fast_forward, strip = item
     started = time.perf_counter()
     try:
-        result: Optional[RunResult] = strip_hub(
-            execute_scenario(scenario, fast_forward=fast_forward)
-        )
-        error: Optional[ReproError] = None
-    except ReproError as exc:
-        result, error = None, exc
-    elapsed = time.perf_counter() - started
-    return index, result, error, (os.getpid(), elapsed)
-
-
-def _run_local(item: _Task) -> _TaskOutcome:
-    """In-process task: like :func:`_run_remote`, keeping the live hub."""
-    index, scenario, fast_forward = item
-    started = time.perf_counter()
-    try:
-        result: Optional[RunResult] = execute_scenario(
-            scenario, fast_forward=fast_forward
-        )
+        run = execute_scenario(scenario, fast_forward=fast_forward)
+        result: Optional[RunResult] = strip_hub(run) if strip else run
         error: Optional[ReproError] = None
     except ReproError as exc:
         result, error = None, exc
@@ -292,9 +278,8 @@ class ScenarioEngine:
     """Runs scenarios through the two-tier cache, dedup and a backend.
 
     ``backend`` names the :class:`~repro.core.backends.ExecutionBackend`
-    batches dispatch through (``"serial"``, ``"process"``, ``"socket"``,
-    or any registered name; ``backend_hosts`` configures multi-host
-    backends).  When omitted, ``$REPRO_BACKEND`` applies, then the
+    batches dispatch through (``"serial"`` or ``"process"``).  When
+    omitted, ``$REPRO_BACKEND`` applies, then the
     historical heuristic: ``workers=1`` executes in-process (results
     keep their hub attached); ``workers>1`` fans independent scenarios
     out over a persistent process pool (spawned lazily, reused across
@@ -333,7 +318,6 @@ class ScenarioEngine:
         memory_cache: Optional[int] = None,
         cache_max_bytes: Optional[int] = None,
         backend: Optional[str] = None,
-        backend_hosts: Optional[Sequence[str]] = None,
         fidelity: str = "des",
     ) -> None:
         if workers < 1:
@@ -369,9 +353,7 @@ class ScenarioEngine:
         self.metrics = EngineMetrics()
         #: Maps a worker's pid to its stable ``w<N>`` label.
         self._worker_labels: Dict[int, str] = {}
-        self._backend = create_backend(
-            backend, workers=self.workers, hosts=backend_hosts
-        )
+        self._backend = create_backend(backend, workers=self.workers)
         self.metrics.backend_name = self._backend.name
 
     # ------------------------------------------------------------------
@@ -384,7 +366,7 @@ class ScenarioEngine:
         return self._backend
 
     def close(self) -> None:
-        """Release the backend's workers/connections.
+        """Release the backend's workers.
 
         Idempotent, safe on a partially-constructed engine (failed
         backend spawn), and never raises — CLI/``atexit`` paths may
@@ -544,11 +526,6 @@ class ScenarioEngine:
         self.metrics.backend_spawns = backend.spawns
         self.metrics.backend_dispatches = backend.dispatches
         self.metrics.backend_tasks = backend.tasks
-        self.metrics.backend_retries = backend.retries
-        # Historical pool_* aliases, kept for older dashboards/tests.
-        self.metrics.pool_spawns = backend.spawns
-        self.metrics.pool_dispatches = backend.dispatches
-        self.metrics.pool_tasks = backend.tasks
 
     # ------------------------------------------------------------------
     # execution
@@ -677,17 +654,16 @@ class ScenarioEngine:
                 # run_chunk keeps error attribution identical to the
                 # dispatched path (task bugs surface as ChunkTaskError).
                 outcomes_iter = run_chunk(
-                    _run_local,
-                    [(0, pending[0][1], self.fast_forward)],
+                    _run_task,
+                    [(0, pending[0][1], self.fast_forward, False)],
                     0,
                     [_scenario_label(pending[0][1])],
                 )
             else:
-                runner = _run_remote if backend.remote else _run_local
                 outcomes_iter = backend.submit_batch(
-                    runner,
+                    _run_task,
                     [
-                        (position, scenario, self.fast_forward)
+                        (position, scenario, self.fast_forward, backend.parallel)
                         for position, (_key, scenario) in enumerate(pending)
                     ],
                     labels=[

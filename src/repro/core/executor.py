@@ -12,45 +12,7 @@ from typing import Optional, Sequence
 from ..obs.recorder import NullRecorder
 from .results import RunResult
 from .scenario import Scenario
-from .schemes.base import SchemeContext, execute_scenario
-from .schemes.registry import get_scheme
-
-
-class ScenarioRunner:
-    """Executes one :class:`Scenario` and produces a :class:`RunResult`.
-
-    Thin façade over the scheme plugins, kept for backwards
-    compatibility; new code can call :func:`run_scenario` directly or go
-    through :class:`~repro.core.engine.ScenarioEngine` for caching and
-    parallel fan-out.
-    """
-
-    def __init__(
-        self, scenario: Scenario, obs: Optional[NullRecorder] = None
-    ):
-        self.scenario = scenario
-        self.executor = get_scheme(scenario.scheme)()
-        self.ctx = SchemeContext(
-            scenario, cpu_starts_awake=self.executor.cpu_starts_awake, obs=obs
-        )
-
-    @property
-    def hub(self):
-        """The scenario's fresh hub (built at construction time)."""
-        return self.ctx.hub
-
-    def run(self) -> RunResult:
-        """Execute the scenario to completion."""
-        from ..hw.power import Routine
-
-        ctx, executor = self.ctx, self.executor
-        executor.build(ctx)
-        if executor.mcu_owns_sensing:
-            ctx.hub.mcu.set_idle(Routine.DATA_COLLECTION)
-        ctx.rest()
-        ctx.hub.run()
-        end_time = max(ctx.hub.sim.now, self.scenario.horizon_s)
-        return ctx.collect(end_time)
+from .schemes.base import execute_scenario
 
 
 def run_scenario(

@@ -18,7 +18,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -96,7 +95,6 @@ def run_sweep(
     dedup: bool = True,
     cache_max_bytes: Optional[int] = None,
     backend: Optional[str] = None,
-    backend_hosts: Optional[Sequence[str]] = None,
     fidelity: Optional[str] = None,
 ) -> Sweep:
     """Run ``scenario_factory(**params)`` for every grid point.
@@ -106,13 +104,13 @@ def run_sweep(
     always propagate — a :class:`TypeError` in a factory or a bug inside
     the simulator aborts the sweep instead of hiding in point errors.
 
-    ``workers``/``backend``/``backend_hosts`` choose the execution
-    backend independent points fan out over — a local process pool, a
-    multi-host socket fleet, or inline execution (remote backends
-    return results without their live hub); ``cache_dir`` memoizes
-    results on disk by scenario fingerprint (``cache_max_bytes`` caps
-    that cache, evicting oldest entries first); ``dedup`` lets grid
-    points that are app-order permutations of each other simulate once.
+    ``workers``/``backend`` choose the execution backend independent
+    points fan out over — a local process pool or inline execution (the
+    process backend returns results without their live hub);
+    ``cache_dir`` memoizes results on disk by scenario fingerprint
+    (``cache_max_bytes`` caps that cache, evicting oldest entries
+    first); ``dedup`` lets grid points that are app-order permutations
+    of each other simulate once.
     Pass a pre-built ``engine`` to share one cache/backend/memory-LRU
     configuration across sweeps — its workers then persist between
     calls.  ``fidelity`` overrides the engine's execution tier for this
@@ -127,7 +125,6 @@ def run_sweep(
         dedup=dedup,
         cache_max_bytes=cache_max_bytes,
         backend=backend,
-        backend_hosts=backend_hosts,
     )
     points: List[SweepPoint] = []
     pending: List[Tuple[int, Scenario]] = []

@@ -56,7 +56,7 @@ class AnalyticUnsupported(ReproError):
 
 
 class BackendError(ReproError):
-    """An execution backend was misconfigured or lost its workers."""
+    """An execution backend was unknown or misconfigured, or a task failed."""
 
 
 class ChunkTaskError(BackendError):
@@ -79,7 +79,7 @@ class ChunkTaskError(BackendError):
 
     def __reduce__(self):
         # Exceptions pickle through their constructor args; carry the
-        # attribution attributes across process/socket boundaries too.
+        # attribution attributes across the process boundary too.
         return (type(self), (self.args[0], self.index, self.label))
 
 

@@ -118,22 +118,13 @@ class EngineMetrics:
     dedup_hits: int = 0
     #: Name of the execution backend the engine dispatched through.
     backend_name: str = ""
-    #: Workers/processes/connections the backend brought up
+    #: Workers/processes the backend brought up
     #: (1 == perfect reuse for the process pool).
     backend_spawns: int = 0
     #: Chunks dispatched to the backend (each one round-trip).
     backend_dispatches: int = 0
     #: Individual scenarios shipped inside those chunks.
     backend_tasks: int = 0
-    #: Chunks re-dispatched after a lost worker or timed-out reply
-    #: (only multi-host backends can make this non-zero).
-    backend_retries: int = 0
-    #: Legacy alias of ``backend_spawns`` (pre-backend dashboards).
-    pool_spawns: int = 0
-    #: Legacy alias of ``backend_dispatches``.
-    pool_dispatches: int = 0
-    #: Legacy alias of ``backend_tasks``.
-    pool_tasks: int = 0
     #: Scenarios actually simulated (cache and dedup hits excluded).
     scenarios_run: int = 0
     #: Closed-form evaluations by the analytic tier (cache hits excluded).
@@ -179,10 +170,6 @@ class EngineMetrics:
             "backend_spawns": self.backend_spawns,
             "backend_dispatches": self.backend_dispatches,
             "backend_tasks": self.backend_tasks,
-            "backend_retries": self.backend_retries,
-            "pool_spawns": self.pool_spawns,
-            "pool_dispatches": self.pool_dispatches,
-            "pool_tasks": self.pool_tasks,
             "scenarios_run": self.scenarios_run,
             "analytic_evals": self.analytic_evals,
             "frontier_points": self.frontier_points,
@@ -228,14 +215,11 @@ class EngineMetrics:
             lines.append(line)
         if self.backend_dispatches:
             name = self.backend_name or "?"
-            line = (
+            lines.append(
                 f"backend[{name}]: {self.backend_spawns} spawn(s), "
                 f"{self.backend_dispatches} dispatch(es), "
                 f"{self.backend_tasks} task(s)"
             )
-            if self.backend_retries:
-                line += f", {self.backend_retries} retried chunk(s)"
-            lines.append(line)
         if self.worker_wall_s:
             shares = "  ".join(
                 f"{worker}={seconds:.3f}s"

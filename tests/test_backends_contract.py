@@ -1,30 +1,27 @@
 """Cross-backend conformance suite for the execution-backend layer.
 
-Every registered backend must honor the same contract: ordered results,
-attributed error propagation, exact scheduling counters, an idempotent
-close/reopen lifecycle — and, through the engine, grid results that are
-bit-identical to an inline (serial) run.  The suite is parametrized
-over every stock backend so a new implementation inherits the whole
-checklist by adding one ``_BACKEND_FIXTURES`` entry.
+Both backends (serial and process) must honor the same contract:
+ordered results, attributed error propagation, exact scheduling
+counters, an idempotent close/reopen lifecycle — and, through the
+engine, grid results that are bit-identical to an inline (serial) run.
+The process backend's chunk-size arithmetic and worker-count checks
+close the file.
 """
 
 import pickle
-import time
 
 import pytest
 
-from repro.core import Scenario, ScenarioEngine, Scheme, compare_grid
+from repro.core import ScenarioEngine, Scheme, compare_grid
 from repro.core.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerAgent,
+    adaptive_chunk_size,
     backend_names,
+    chunked,
     create_backend,
     default_backend_name,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.engine import strip_hub
 from repro.errors import BackendError, ChunkTaskError
@@ -34,11 +31,6 @@ def _square(value):
     return value * value
 
 
-def _slow_square(value):
-    time.sleep(0.02)  # keeps every socket worker busy long enough to
-    return value * value  # guarantee the doomed host steals some chunks
-
-
 def _boom_on_five(value):
     if value == 5:
         raise ValueError("boom")
@@ -46,39 +38,11 @@ def _boom_on_five(value):
 
 
 # ----------------------------------------------------------------------
-# backend construction, parametrized over the registry
+# backend construction, parametrized over both backends
 # ----------------------------------------------------------------------
-class _BackendHarness:
-    """One ready-to-use backend plus whatever infrastructure it needs."""
-
-    def __init__(self, backend, agents=()):
-        self.backend = backend
-        self.agents = list(agents)
-
-    def shutdown(self):
-        self.backend.close()
-        for agent in self.agents:
-            agent.stop()
-
-
-def _serial_harness():
-    return _BackendHarness(SerialBackend())
-
-
-def _process_harness():
-    return _BackendHarness(ProcessPoolBackend(max_workers=2))
-
-
-def _socket_harness():
-    agents = [WorkerAgent().start() for _ in range(2)]
-    backend = SocketBackend(hosts=[agent.address for agent in agents])
-    return _BackendHarness(backend, agents)
-
-
 _BACKEND_FIXTURES = {
-    "serial": _serial_harness,
-    "process": _process_harness,
-    "socket": _socket_harness,
+    "serial": SerialBackend,
+    "process": lambda: ProcessPoolBackend(max_workers=2),
 }
 
 
@@ -88,17 +52,16 @@ def test_suite_covers_every_registered_backend():
 
 
 @pytest.fixture(params=sorted(_BACKEND_FIXTURES))
-def harness(request):
+def backend(request):
     built = _BACKEND_FIXTURES[request.param]()
     yield built
-    built.shutdown()
+    built.close()
 
 
 # ----------------------------------------------------------------------
 # ordering and counters
 # ----------------------------------------------------------------------
-def test_results_come_back_in_item_order(harness):
-    backend = harness.backend
+def test_results_come_back_in_item_order(backend):
     items = list(range(25))
     assert backend.submit_batch(_square, items, chunk_size=4) == [
         value * value for value in items
@@ -106,30 +69,23 @@ def test_results_come_back_in_item_order(harness):
     # Counter exactness: 25 tasks in ceil(25/4) = 7 dispatched chunks.
     assert backend.tasks == 25
     assert backend.dispatches == 7
-    assert backend.retries == 0
     if backend.parallel:
         assert backend.spawns >= 1
     else:
         assert backend.spawns == 0
 
 
-def test_empty_batch_is_free(harness):
-    backend = harness.backend
+def test_empty_batch_is_free(backend):
     assert backend.submit_batch(_square, []) == []
     assert backend.spawns == 0
     assert backend.tasks == 0
     assert backend.dispatches == 0
 
 
-def test_map_is_a_submit_batch_alias(harness):
-    assert harness.backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-
 # ----------------------------------------------------------------------
 # error propagation with attribution
 # ----------------------------------------------------------------------
-def test_task_errors_carry_index_and_label(harness):
-    backend = harness.backend
+def test_task_errors_carry_index_and_label(backend):
     labels = [f"point-{value}" for value in range(8)]
     with pytest.raises(ChunkTaskError, match="boom") as excinfo:
         backend.submit_batch(
@@ -137,12 +93,9 @@ def test_task_errors_carry_index_and_label(harness):
         )
     assert excinfo.value.index == 5
     assert excinfo.value.label == "point-5"
-    # A genuine task failure is never retried, on any backend.
-    assert backend.retries == 0
 
 
-def test_backend_stays_usable_after_a_task_error(harness):
-    backend = harness.backend
+def test_backend_stays_usable_after_a_task_error(backend):
     with pytest.raises(ChunkTaskError):
         backend.submit_batch(_boom_on_five, list(range(8)), chunk_size=2)
     assert backend.submit_batch(_square, [3, 4]) == [9, 16]
@@ -159,27 +112,24 @@ def test_chunk_task_error_survives_pickling():
 # ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
-def test_close_is_idempotent_and_reopens_transparently(harness):
-    backend = harness.backend
+def test_close_is_idempotent_and_reopens_transparently(backend):
     assert backend.submit_batch(_square, [2]) == [4]
     backend.close()
     backend.close()  # double-close must never raise
-    assert not backend.alive or not backend.parallel
+    assert not backend.alive
     assert backend.submit_batch(_square, [3]) == [9]  # transparent reopen
 
 
-def test_close_before_any_batch_is_safe(harness):
-    harness.backend.close()  # nothing spawned yet
-    assert harness.backend.spawns == 0
+def test_close_before_any_batch_is_safe(backend):
+    backend.close()  # nothing spawned yet
+    assert backend.spawns == 0
 
 
-def test_context_manager_closes(harness):
-    backend = harness.backend
+def test_context_manager_closes(backend):
     with backend as entered:
         assert entered is backend
         assert backend.submit_batch(_square, [5]) == [25]
-    if backend.parallel:
-        assert not backend.alive
+    assert not backend.alive
 
 
 # ----------------------------------------------------------------------
@@ -225,96 +175,23 @@ def serial_grid_signatures():
 
 
 def test_engine_grid_bit_identical_across_backends(
-    harness, serial_grid_signatures
+    backend, serial_grid_signatures
 ):
-    backend = harness.backend
-    hosts = [agent.address for agent in harness.agents] or None
-    with ScenarioEngine(
-        workers=2, backend=backend.name, backend_hosts=hosts
-    ) as engine:
+    with ScenarioEngine(workers=2, backend=backend.name) as engine:
         assert _grid_signatures(engine) == serial_grid_signatures
         assert engine.metrics.backend_name == backend.name
 
 
 # ----------------------------------------------------------------------
-# socket backend specifics: worker loss, retry, degradation
+# name resolution and defaults
 # ----------------------------------------------------------------------
-def test_socket_redispatches_chunks_from_a_killed_worker():
-    # The doomed agent abruptly shuts down after ONE chunk (its listener
-    # and connections close mid-batch), deterministically exercising the
-    # lost-host path; the surviving agent absorbs the re-queued chunks.
-    survivor = WorkerAgent().start()
-    doomed = WorkerAgent(max_requests=1).start()
-    backend = SocketBackend(hosts=[survivor.address, doomed.address])
-    try:
-        items = list(range(12))
-        assert backend.submit_batch(_slow_square, items, chunk_size=1) == [
-            value * value for value in items
-        ]
-        assert backend.retries >= 1
-        assert backend.hosts_lost >= 1
-        assert backend.tasks == 12
-    finally:
-        backend.close()
-        survivor.stop()
-        doomed.stop()
-
-
-def test_socket_raises_when_every_host_is_lost():
-    doomed = WorkerAgent(max_requests=1).start()
-    backend = SocketBackend(hosts=[doomed.address])
-    try:
-        with pytest.raises(BackendError, match="lost"):
-            backend.submit_batch(_slow_square, list(range(6)), chunk_size=1)
-    finally:
-        backend.close()
-        doomed.stop()
-
-
-def test_socket_needs_hosts(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND_HOSTS", raising=False)
-    with pytest.raises(BackendError, match="hosts"):
-        create_backend("socket")
-
-
-def test_socket_hosts_come_from_the_environment(monkeypatch):
-    agent = WorkerAgent().start()
-    monkeypatch.setenv("REPRO_BACKEND_HOSTS", agent.address)
-    backend = create_backend("socket")
-    try:
-        assert backend.submit_batch(_square, [6]) == [36]
-    finally:
-        backend.close()
-        agent.stop()
-
-
-def test_socket_connects_only_reachable_hosts():
-    agent = WorkerAgent().start()
-    backend = SocketBackend(
-        hosts=[agent.address, "127.0.0.1:1"], connect_timeout_s=0.25
-    )
-    try:
-        assert backend.submit_batch(_square, [2, 3]) == [4, 9]
-        assert backend.spawns == 1  # degraded start: one live host
-        assert backend.hosts_lost == 1
-    finally:
-        backend.close()
-        agent.stop()
-
-
-def test_socket_rejects_malformed_host_specs():
-    with pytest.raises(BackendError, match="host:port"):
-        SocketBackend(hosts="localhost")
-    with pytest.raises(BackendError, match="port"):
-        SocketBackend(hosts="localhost:not-a-port")
-
-
-# ----------------------------------------------------------------------
-# registry and default resolution
-# ----------------------------------------------------------------------
-def test_unknown_backend_name_is_an_error():
-    with pytest.raises(BackendError, match="unknown backend"):
-        create_backend("warp-drive")
+def test_unknown_backend_name_is_an_error(monkeypatch):
+    for name in ("warp-drive", "socket"):
+        with pytest.raises(BackendError, match="unknown backend"):
+            create_backend(name)
+    monkeypatch.setenv("REPRO_BACKEND", "socket")
+    with pytest.raises(BackendError, match="unknown backend 'socket'"):
+        ScenarioEngine()
 
 
 def test_default_backend_follows_workers(monkeypatch):
@@ -342,21 +219,6 @@ def test_explicit_backend_beats_the_env_var(monkeypatch):
         engine.close()
 
 
-def test_third_party_backends_register_and_resolve():
-    @register_backend("inline-twin")
-    class InlineTwin(SerialBackend):
-        pass
-
-    try:
-        backend = create_backend("inline-twin")
-        assert isinstance(backend, InlineTwin)
-        assert backend.name == "inline-twin"
-        assert backend.submit_batch(_square, [4]) == [16]
-    finally:
-        unregister_backend("inline-twin")
-    assert "inline-twin" not in backend_names()
-
-
 def test_engine_close_safe_after_failed_backend_construction():
     engine = None
     try:
@@ -373,3 +235,94 @@ def test_engine_close_safe_after_failed_backend_construction():
 def test_base_class_requires_submit_batch():
     with pytest.raises(NotImplementedError):
         ExecutionBackend().submit_batch(_square, [1])
+
+
+# ----------------------------------------------------------------------
+# process backend: pool lifecycle, chunk-size arithmetic, worker count
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    ("tasks", "workers", "expected"),
+    [
+        (0, 4, 1),
+        (1, 4, 1),
+        (16, 4, 1),  # exactly chunks_per_worker chunks each
+        (42, 4, 3),  # the fig11+permutations batch: 14 dispatches
+        (1000, 4, 63),
+        (5, 8, 1),  # fewer tasks than workers: no starvation
+    ],
+)
+def test_adaptive_chunk_size(tasks, workers, expected):
+    assert adaptive_chunk_size(tasks, workers) == expected
+
+
+def test_adaptive_chunk_size_rejects_bad_workers():
+    with pytest.raises(ValueError):
+        adaptive_chunk_size(10, 0)
+
+
+def test_chunked_splits_and_preserves_order():
+    assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
+    with pytest.raises(ValueError):
+        chunked([1], 0)
+
+
+def _boom(value):
+    raise RuntimeError(f"boom {value}")
+
+
+def test_map_returns_results_in_item_order():
+    with ProcessPoolBackend(2) as backend:
+        assert backend.submit_batch(_square, list(range(10))) == [
+            value * value for value in range(10)
+        ]
+        assert backend.tasks == 10
+        assert backend.dispatches >= 2
+
+
+def test_pool_spawns_once_across_maps():
+    with ProcessPoolBackend(2) as backend:
+        backend.submit_batch(_square, [1, 2, 3])
+        backend.submit_batch(_square, [4, 5, 6])
+        assert backend.spawns == 1
+        assert backend.tasks == 6
+
+
+def test_empty_map_never_spawns():
+    with ProcessPoolBackend(2) as backend:
+        assert backend.submit_batch(_square, []) == []
+        assert backend.spawns == 0
+        assert not backend.alive
+
+
+def test_closed_pool_respawns_transparently():
+    backend = ProcessPoolBackend(2)
+    backend.submit_batch(_square, [1])
+    backend.close()
+    assert not backend.alive
+    backend.close()  # idempotent
+    assert backend.submit_batch(_square, [2]) == [4]
+    assert backend.spawns == 2
+    backend.close()
+
+
+def test_worker_exceptions_propagate():
+    # A real bug aborts the batch, attributed to the failing item.
+    with ProcessPoolBackend(2) as backend:
+        with pytest.raises(ChunkTaskError, match="boom") as excinfo:
+            backend.submit_batch(_boom, [1, 2])
+        assert excinfo.value.index in (0, 1)
+        # The original exception survives in the message (the pickled
+        # __cause__ becomes a remote-traceback stub across processes).
+        assert "RuntimeError" in str(excinfo.value)
+
+
+def test_explicit_chunk_size_controls_dispatch_count():
+    with ProcessPoolBackend(2) as backend:
+        backend.submit_batch(_square, list(range(6)), chunk_size=6)
+        assert backend.dispatches == 1
+        assert backend.tasks == 6
+
+
+def test_pool_rejects_bad_worker_count():
+    with pytest.raises(ValueError):
+        ProcessPoolBackend(0)

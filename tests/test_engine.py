@@ -294,7 +294,6 @@ def test_pool_persists_across_batches():
     # must hold even when $REPRO_BACKEND selects another default.
     with ScenarioEngine(workers=2, backend="process") as engine:
         engine.run_batch(grid)
-        assert engine.metrics.pool_spawns == 1
         assert engine.metrics.backend_name == "process"
         assert engine.metrics.backend_spawns == 1
         more = [
@@ -302,9 +301,9 @@ def test_pool_persists_across_batches():
             for app_id in ("A2", "A3")
         ]
         engine.run_batch(more)
-        assert engine.metrics.pool_spawns == 1  # reused, not respawned
-        assert engine.metrics.pool_tasks == 4
-        assert engine.metrics.pool_dispatches >= 2
+        assert engine.metrics.backend_spawns == 1  # reused, not respawned
+        assert engine.metrics.backend_tasks == 4
+        assert engine.metrics.backend_dispatches >= 2
 
 
 def test_memory_only_engine_caches_without_disk(tmp_path):

@@ -317,106 +317,6 @@ class TestSchemeContract:
 
 
 # ----------------------------------------------------------------------
-# backend-contract (scoped to core/backends/ modules)
-# ----------------------------------------------------------------------
-BACKEND_PATH = "src/repro/core/backends/fixture.py"
-
-GOOD_BACKEND = '''
-from .base import ExecutionBackend, run_chunk
-from .registry import register_backend
-
-
-@register_backend("twin")
-class TwinBackend(ExecutionBackend):
-    """A well-behaved backend plugin."""
-
-    def submit_batch(self, fn, items, chunk_size=None, labels=None):
-        """Run everything inline."""
-        return run_chunk(fn, list(items), 0, labels)
-'''
-
-
-class TestBackendContract:
-    def test_good_plugin_module_passes(self):
-        assert rule_ids(GOOD_BACKEND, path=BACKEND_PATH) == []
-
-    def test_module_without_registration_is_flagged(self):
-        src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"
-        assert rule_ids(src, path=BACKEND_PATH) == ["backend-one-per-module"]
-
-    def test_second_registration_is_flagged(self):
-        src = GOOD_BACKEND + textwrap.dedent(
-            """
-            @register_backend("another")
-            class Another(TwinBackend):
-                \"\"\"A second registration in the same file.\"\"\"
-            """
-        )
-        assert "backend-one-per-module" in rule_ids(src, path=BACKEND_PATH)
-
-    def test_missing_submit_batch_is_flagged(self):
-        src = """
-        @register_backend("broken")
-        class Broken(ExecutionBackend):
-            \"\"\"Forgets the one required hook.\"\"\"
-
-            parallel = False
-        """
-        assert "backend-missing-submit" in rule_ids(src, path=BACKEND_PATH)
-
-    def test_submit_inherited_from_concrete_backend_is_allowed(self):
-        src = """
-        @register_backend("shared")
-        class Shared(SerialBackend):
-            \"\"\"Inherits submit_batch() from the serial backend.\"\"\"
-
-            parallel = False
-        """
-        assert rule_ids(src, path=BACKEND_PATH) == []
-
-    def test_unregistered_base_class_is_flagged(self):
-        src = """
-        @register_backend("floating")
-        class Floating:
-            \"\"\"Subclasses nothing.\"\"\"
-
-            def submit_batch(self, fn, items, chunk_size=None, labels=None):
-                \"\"\"Inline.\"\"\"
-                return []
-        """
-        assert "backend-missing-submit" in rule_ids(src, path=BACKEND_PATH)
-
-    def test_bare_except_is_flagged_even_in_plumbing(self):
-        src = """
-        try:
-            recv()
-        except:
-            raise
-        """
-        path = "src/repro/core/backends/base.py"
-        assert rule_ids(src, path=path) == ["backend-bare-except"]
-
-    def test_named_except_passes(self):
-        src = """
-        try:
-            recv()
-        except (OSError, EOFError):
-            raise
-        """
-        path = "src/repro/core/backends/base.py"
-        assert rule_ids(src, path=path) == []
-
-    def test_not_scoped_outside_backends(self):
-        src = """
-        try:
-            recv()
-        except:
-            raise
-        """
-        assert rule_ids(src, path=NEUTRAL_PATH) == []
-
-
-# ----------------------------------------------------------------------
 # docs (scoped to anything under a repro/ directory)
 # ----------------------------------------------------------------------
 class TestDocsMissingDocstring:
