@@ -12,7 +12,6 @@ from .findings import Finding, Severity
 from .framework import (
     FileContext,
     LintConfigError,
-    ProgramRule,
     Rule,
     all_rules,
     iter_python_files,
@@ -23,14 +22,11 @@ from .framework import (
     resolve_rules,
     tokens_cover,
 )
-from .program import LintCache, build_program
 from .reporters import (
     JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
     exit_code,
     list_rules,
     render_json,
-    render_sarif,
     render_text,
 )
 
@@ -38,12 +34,9 @@ __all__ = [
     "Finding",
     "Severity",
     "FileContext",
-    "LintCache",
     "LintConfigError",
-    "ProgramRule",
     "Rule",
     "all_rules",
-    "build_program",
     "iter_python_files",
     "lint_file",
     "lint_paths",
@@ -52,10 +45,8 @@ __all__ = [
     "resolve_rules",
     "tokens_cover",
     "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
     "exit_code",
     "list_rules",
     "render_json",
-    "render_sarif",
     "render_text",
 ]

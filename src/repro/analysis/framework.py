@@ -39,8 +39,8 @@ def tokens_cover(tokens: Set[str], rule_id: str) -> bool:
     """Whether a suppression/selection token set covers ``rule_id``.
 
     A token covers the id when it is ``all``, the exact id, or a prefix
-    of it ending at a ``-`` boundary (so ``units`` and ``program-det``
-    both act as families).
+    of it ending at a ``-`` boundary (so ``units`` acts as a family and
+    ``scheme-missing`` covers ``scheme-missing-build``).
     """
     if "all" in tokens or rule_id in tokens:
         return True
@@ -98,9 +98,8 @@ class FileContext:
         """True when a ``# repro-lint: disable=`` comment covers the line.
 
         A suppression token matches the exact rule id, any hyphen-
-        boundary prefix of it (``units`` covers ``units-float-eq``;
-        ``program-det`` covers ``program-det-impure-reach``), or the
-        catch-all ``all``.
+        boundary prefix of it (``units`` covers ``units-float-eq``), or
+        the catch-all ``all``.
         """
         tokens = self.suppressions.get(line)
         if not tokens:
@@ -128,8 +127,6 @@ class Rule:
     description: str = ""
     #: Findings at ERROR fail the run; WARNING findings only report.
     severity: Severity = Severity.ERROR
-    #: Whole-program rules run over the project index, not per file.
-    is_program: bool = False
 
     @property
     def family(self) -> str:
@@ -167,48 +164,6 @@ class Rule:
         )
 
 
-class ProgramRule(Rule):
-    """Base class for whole-program rules.
-
-    These run once per lint invocation over the assembled
-    :class:`~repro.analysis.program.graph.ProgramIndex` instead of file
-    by file; subclasses implement :meth:`check_program` and report
-    findings with full cross-module evidence.  Selection, suppression
-    and reporting work exactly like per-file rules — the two-segment
-    prefix (``program-det``, ``program-units``, ``program-pickle``)
-    acts as the family.
-    """
-
-    is_program = True
-
-    @property
-    def family(self) -> str:
-        """Two leading segments (``program-det``), not just ``program``."""
-        return "-".join(self.rule_id.split("-")[:2])
-
-    def check_program(self, index: object) -> List[Finding]:
-        """Evaluate the rule over a ProgramIndex; return findings."""
-        raise NotImplementedError
-
-    def finding(
-        self,
-        path: str,
-        line: int,
-        message: str,
-        **data: object,
-    ) -> Finding:
-        """Build a finding at an explicit location (no AST node here)."""
-        return Finding(
-            path=path,
-            line=line,
-            col=1,
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=message,
-            data=dict(data),
-        )
-
-
 #: Registration-ordered rule classes (order defines report grouping).
 _RULES: Dict[str, Type[Rule]] = {}
 
@@ -242,7 +197,7 @@ def _match_tokens(tokens: Sequence[str]) -> Set[str]:
     """Expand select/ignore tokens to rule ids.
 
     A token is a full rule id or any hyphen-boundary prefix acting as a
-    family (``units``, ``program``, ``program-det``).
+    family (``units``, ``det``).
     """
     known = all_rules()
     matched: Set[str] = set()
@@ -311,9 +266,17 @@ def _parse_error_finding(path: str, exc: SyntaxError) -> Finding:
 
 
 def _run_file_rules(
-    ctx: FileContext, tree: ast.Module, rules: Sequence[Rule]
+    source: str, path: str, rules: Sequence[Rule]
 ) -> List[Finding]:
-    """Run per-file rules over one parsed tree; findings sorted."""
+    """Parse once and run ``rules`` in one walk; findings sorted.
+
+    A file the parser rejects yields the single ``parse-error`` finding.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [_parse_error_finding(path, exc)]
+    ctx = FileContext(path, source)
     active = [rule for rule in rules if rule.applies_to(ctx)]
     for rule in active:
         rule.begin_module(ctx, tree)
@@ -329,22 +292,8 @@ def lint_source(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one source text with the per-file rules, sorted by location.
-
-    Whole-program rules need the full project and are skipped here —
-    use :func:`lint_paths` (or ``build_program`` directly) for them.
-    """
-    ctx = FileContext(path, source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [_parse_error_finding(path, exc)]
-    rules = [
-        rule
-        for rule in resolve_rules(select, ignore)
-        if not rule.is_program
-    ]
-    return _run_file_rules(ctx, tree, rules)
+    """Lint one source text, findings sorted by location."""
+    return _run_file_rules(source, path, resolve_rules(select, ignore))
 
 
 def lint_file(
@@ -386,97 +335,12 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    program: bool = True,
-    cache: Optional[object] = None,
-    report_paths: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by location.
-
-    Runs the per-file rules on each file and, when ``program`` is true
-    and any whole-program rule is active, assembles the project index
-    over the *same single parse* per file and runs the ``program-*``
-    passes.  ``cache`` (a :class:`~repro.analysis.program.cache
-    .LintCache`) memoizes both per-file findings and module summaries
-    by content hash — a warm run over an unchanged tree re-parses
-    nothing.  ``report_paths`` restricts *reported* findings to a file
-    subset while still analyzing the whole program (``--changed``).
-    """
-    # Deferred import: program.* modules import this framework.
-    from .program.cache import LintCache, content_hash, ruleset_signature
-    from .program.graph import ProgramIndex, module_name_for_path
-    from .program.summaries import ModuleSummary, summarize_module
-
-    lint_cache = cache if isinstance(cache, LintCache) else LintCache(None)
+    """Lint every Python file under ``paths``; findings sorted by location."""
     rules = resolve_rules(select, ignore)
-    file_rules = [rule for rule in rules if not rule.is_program]
-    program_rules = [rule for rule in rules if rule.is_program]
-    run_program = program and bool(program_rules)
-    signature = ruleset_signature(
-        [rule.rule_id for rule in file_rules]
-    )
     findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        key = content_hash(source, path)
-        cached = lint_cache.get_findings(key, signature)
-        summary = lint_cache.get_summary(key) if run_program else None
-        if cached is None or (run_program and summary is None):
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                if cached is None:
-                    file_findings = [_parse_error_finding(path, exc)]
-                    lint_cache.put_findings(
-                        key,
-                        signature,
-                        [finding.to_json() for finding in file_findings],
-                    )
-                    findings.extend(file_findings)
-                else:
-                    findings.extend(
-                        Finding.from_json(item) for item in cached
-                    )
-                continue
-            lint_cache.note_parse()
-            if cached is None:
-                ctx = FileContext(path, source)
-                file_findings = _run_file_rules(ctx, tree, file_rules)
-                lint_cache.put_findings(
-                    key,
-                    signature,
-                    [finding.to_json() for finding in file_findings],
-                )
-                findings.extend(file_findings)
-            else:
-                findings.extend(
-                    Finding.from_json(item) for item in cached
-                )
-            if run_program and summary is None:
-                summary = summarize_module(
-                    tree, module_name_for_path(path), path, source
-                )
-                lint_cache.put_summary(key, summary)
-        else:
-            findings.extend(Finding.from_json(item) for item in cached)
-        if summary is not None:
-            summaries.append(summary)
-    if run_program:
-        index = ProgramIndex(summaries)
-        index.stats = lint_cache.stats()
-        for rule in program_rules:
-            for finding in rule.check_program(index):
-                tokens = index.suppression_tokens(
-                    finding.path, finding.line
-                )
-                if not tokens_cover(tokens, finding.rule_id):
-                    findings.append(finding)
-    if report_paths is not None:
-        wanted = {os.path.normpath(path) for path in report_paths}
-        findings = [
-            finding
-            for finding in findings
-            if os.path.normpath(finding.path) in wanted
-        ]
+        findings.extend(_run_file_rules(source, path, rules))
     return sorted(findings, key=lambda finding: finding.sort_key)

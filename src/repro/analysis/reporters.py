@@ -1,27 +1,19 @@
-"""Reporters: render findings for humans (text) or machines (JSON/SARIF)."""
+"""Reporters: render findings for humans (text) or machines (JSON)."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .findings import Finding, Severity
 
 #: Bump when the JSON payload layout changes.
-JSON_SCHEMA_VERSION = 2
-
-#: The SARIF version/schema this reporter emits.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(
     findings: Sequence[Finding],
     files_checked: int,
-    cache_stats: Optional[Dict[str, int]] = None,
 ) -> str:
     """Human-readable report: one row per finding plus a summary line."""
     lines = [finding.format() for finding in findings]
@@ -34,19 +26,12 @@ def render_text(
         f"{files_checked} {noun} checked: "
         f"{errors} error(s), {warnings} warning(s)"
     )
-    if cache_stats is not None:
-        lines.append(
-            f"cache: {cache_stats.get('parses', 0)} parsed, "
-            f"{cache_stats.get('finding_hits', 0)} finding hit(s), "
-            f"{cache_stats.get('summary_hits', 0)} summary hit(s)"
-        )
     return "\n".join(lines)
 
 
 def render_json(
     findings: Sequence[Finding],
     files_checked: int,
-    cache_stats: Optional[Dict[str, int]] = None,
 ) -> str:
     """Stable JSON document (see ``JSON_SCHEMA_VERSION``)."""
     counts: Dict[str, int] = {}
@@ -58,90 +43,7 @@ def render_json(
         "findings": [finding.to_json() for finding in findings],
         "counts": dict(sorted(counts.items())),
     }
-    if cache_stats is not None:
-        payload["cache"] = dict(cache_stats)
     return json.dumps(payload, indent=2, sort_keys=False)
-
-
-def _sarif_level(severity: Severity) -> str:
-    """SARIF ``level`` for a finding severity."""
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    files_checked: int,
-) -> str:
-    """SARIF 2.1.0 log for ``--format sarif`` (GitHub code scanning).
-
-    One run, one ``repro-lint`` driver; every rule that produced a
-    finding is declared in ``tool.driver.rules`` and referenced by
-    index from its results, which is the shape
-    ``github/codeql-action/upload-sarif`` expects for PR annotations.
-    """
-    from .framework import all_rules
-
-    known = all_rules()
-    fired = sorted({finding.rule_id for finding in findings})
-    rule_index = {rule_id: position for position, rule_id in enumerate(fired)}
-    rules_block: List[Dict[str, Any]] = []
-    for rule_id in fired:
-        cls = known.get(rule_id)
-        description = cls.description if cls is not None else rule_id
-        rules_block.append(
-            {
-                "id": rule_id,
-                "shortDescription": {"text": description or rule_id},
-            }
-        )
-    results: List[Dict[str, Any]] = []
-    for finding in findings:
-        result: Dict[str, Any] = {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index[finding.rule_id],
-            "level": _sarif_level(finding.severity),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.data:
-            result["properties"] = {
-                key: value for key, value in sorted(finding.data.items())
-            }
-        results.append(result)
-    log = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/"
-                            "static-analysis.md"
-                        ),
-                        "rules": rules_block,
-                    }
-                },
-                "results": results,
-                "properties": {"filesChecked": files_checked},
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)
 
 
 def exit_code(findings: Sequence[Finding]) -> int:

@@ -8,7 +8,6 @@ from . import (  # noqa: F401
     determinism,
     docs,
     errors,
-    program,
     schemes,
     units,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "determinism",
     "docs",
     "errors",
-    "program",
     "schemes",
     "units",
 ]

@@ -18,7 +18,21 @@ from typing import Optional, Tuple
 from ..framework import FileContext, Rule, register_rule
 
 #: Directory components under which the simulation must be deterministic.
-DETERMINISTIC_DIRS = frozenset({"sim", "hw", "schemes"})
+#: ``hubos`` stays out: its profiler reads ``perf_counter`` on purpose.
+DETERMINISTIC_DIRS = frozenset(
+    {
+        "sim",
+        "hw",
+        "schemes",
+        "analytic",
+        "sensors",
+        "energy",
+        "apps",
+        "dsp",
+        "firmware",
+        "protocols",
+    }
+)
 
 #: Dotted call suffixes that read the wall clock.
 WALLCLOCK_CALLS = frozenset(
@@ -57,7 +71,7 @@ class DeterminismRule(Rule):
     """Base: only runs inside the deterministic simulation directories."""
 
     def applies_to(self, ctx: FileContext) -> bool:
-        """Scope to sim/, hw/ and schemes/ directory components."""
+        """Scope to the :data:`DETERMINISTIC_DIRS` directory components."""
         return ctx.in_dirs(DETERMINISTIC_DIRS)
 
 
@@ -67,8 +81,9 @@ class WallClockRule(DeterminismRule):
 
     rule_id = "det-wallclock"
     description = (
-        "time.time()/perf_counter()/datetime.now() inside sim/, hw/ or"
-        " core/schemes/ — simulated time must come from the kernel"
+        "time.time()/perf_counter()/datetime.now() in deterministic code"
+        " (sim/, hw/, schemes/, analytic/, ...) — simulated time must"
+        " come from the kernel"
     )
 
     #: Bare names that are unambiguous clock reads when imported directly

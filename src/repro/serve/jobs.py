@@ -43,7 +43,6 @@ from ..core.engine import FIDELITIES, Outcome, ScenarioEngine
 from ..core.scenario import Scenario
 from ..errors import (
     JobSpecError,
-    QuotaError,
     ReproError,
     ServeError,
     ServiceClosedError,
@@ -76,8 +75,28 @@ class JobState:
     ORDER = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
 
 
-def _point_scenario(point: Dict[str, Any]) -> Scenario:
+def _int_field(
+    spec: Dict[str, Any], name: str, default: Optional[int]
+) -> Optional[int]:
+    """``spec[name]`` as a JSON integer; ``default`` when absent.
+
+    Bools (a Python ``int`` subclass) and null are rejected, except that
+    null means "absent" for a field whose default is None.
+    """
+    if name not in spec:
+        return default
+    value = spec[name]
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobSpecError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _point_scenario(point: Any) -> Scenario:
     """One scenario from a point spec (``apps`` + knobs)."""
+    if not isinstance(point, dict):
+        raise JobSpecError(f"point must be a JSON object, got {point!r}")
     apps = point.get("apps")
     if not isinstance(apps, list) or not all(
         isinstance(app, str) for app in apps
@@ -89,8 +108,8 @@ def _point_scenario(point: Dict[str, Any]) -> Scenario:
     return Scenario.of(
         apps,
         scheme=point.get("scheme", "baseline"),
-        windows=int(point.get("windows", 1)),
-        batch_size=point.get("batch_size"),
+        windows=_int_field(point, "windows", 1),
+        batch_size=_int_field(point, "batch_size", None),
     )
 
 
@@ -127,11 +146,9 @@ def scenarios_from_spec(
         raise JobSpecError("grid spec needs a non-empty 'app_sets' list")
     if not isinstance(schemes, list) or not schemes:
         raise JobSpecError("grid spec needs a non-empty 'schemes' list")
-    windows = int(spec.get("windows", 1))
+    windows = _int_field(spec, "windows", 1)
     scenarios = [
-        _point_scenario(
-            {"apps": list(apps), "scheme": scheme, "windows": windows}
-        )
+        _point_scenario({"apps": apps, "scheme": scheme, "windows": windows})
         for apps in app_sets
         for scheme in schemes
     ]

@@ -3,7 +3,6 @@ rule selection, reporters, CLI plumbing — and the meta-test pinning the
 shipped tree lint-clean."""
 
 import json
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from repro.analysis import (
     render_json,
     render_text,
     resolve_rules,
+    tokens_cover,
 )
 from repro.cli import main
 
@@ -66,6 +66,15 @@ class TestSuppression:
         )
         assert lint_source(src) == []
 
+    def test_prefix_suppression_silences_the_family(self):
+        # A multi-segment prefix acts as a family at a "-" boundary only.
+        src = "x = duration_s * 1e3  # repro-lint: disable=units-magic\n"
+        assert lint_source(src) == []
+        src = "x = duration_s * 1e3  # repro-lint: disable=units-mag\n"
+        assert [f.rule_id for f in lint_source(src)] == [
+            "units-magic-literal"
+        ]
+
 
 # ----------------------------------------------------------------------
 # rule selection
@@ -83,6 +92,17 @@ class TestSelection:
     def test_unknown_token_raises(self):
         with pytest.raises(LintConfigError):
             resolve_rules(select=["no-such-rule"])
+
+    def test_tokens_cover_hyphen_prefixes(self):
+        assert tokens_cover({"all"}, "scheme-missing-build")
+        assert tokens_cover({"scheme"}, "scheme-missing-build")
+        assert tokens_cover({"scheme-missing"}, "scheme-missing-build")
+        assert not tokens_cover({"scheme-missing"}, "scheme-unknown-knob")
+        assert not tokens_cover({"sch"}, "scheme-missing-build")
+
+    def test_two_segment_family_selection(self):
+        ids = {rule.rule_id for rule in resolve_rules(select=["scheme-missing"])}
+        assert ids == {"scheme-missing-build"}
 
     def test_every_family_has_rules(self):
         families = {cls().family for cls in all_rules().values()}
@@ -102,7 +122,8 @@ class TestReporters:
     def test_json_schema(self):
         findings = lint_source(BAD_UNITS, path="pkg/mod.py")
         payload = json.loads(render_json(findings, files_checked=3))
-        assert payload["version"] == JSON_SCHEMA_VERSION
+        assert payload["version"] == JSON_SCHEMA_VERSION == 3
+        assert set(payload) == {"version", "files_checked", "findings", "counts"}
         assert payload["files_checked"] == 3
         assert payload["counts"] == {"units-magic-literal": 1}
         (finding,) = payload["findings"]
@@ -150,6 +171,28 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"units-magic-literal": 1}
 
+    def test_out_writes_file(self, tmp_path, capsys):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text(BAD_UNITS)
+        out = tmp_path / "report.json"
+        code = main(
+            ["lint", str(dirty), "--format", "json", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["counts"] == {"units-magic-literal": 1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--format", "sarif"], ["--cache"], ["--changed"], ["--no-program"]],
+    )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src", *argv])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
     def test_select_and_ignore(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(BAD_UNITS)
@@ -175,6 +218,7 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in all_rules():
             assert rule_id in out
+        assert "program-" not in out
 
     def test_directory_walk_skips_pycache(self, tmp_path, capsys):
         package = tmp_path / "pkg"

@@ -85,7 +85,7 @@ class TestUnitsFloatEq:
 
 
 # ----------------------------------------------------------------------
-# determinism (scoped to sim/, hw/, core/schemes/)
+# determinism (scoped to DETERMINISTIC_DIRS: sim/, hw/, schemes/, ...)
 # ----------------------------------------------------------------------
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -141,6 +141,22 @@ class TestDeterminism:
             snippet, path="src/repro/hw/fixture.py"
         )
         assert "det-wallclock" in rule_ids(snippet, path=SCHEME_PATH)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/core/analytic/any.py",
+            "src/repro/sensors/any.py",
+            "src/repro/energy/any.py",
+            "src/repro/apps/any.py",
+            "src/repro/dsp/any.py",
+            "src/repro/firmware/any.py",
+            "src/repro/protocols/any.py",
+        ],
+    )
+    def test_flags_in_every_deterministic_dir(self, path):
+        snippet = "import random\nx = random.random()"
+        assert rule_ids(snippet, path=path) == ["det-unseeded-random"]
 
 
 # ----------------------------------------------------------------------

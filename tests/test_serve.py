@@ -86,6 +86,12 @@ def test_spec_parsing_kinds():
         {"kind": "grid", "app_sets": [], "schemes": ["baseline"]},
         {"kind": "grid", "app_sets": [["A1"]], "schemes": []},
         {"kind": "sweep", "points": []},
+        {"kind": "sweep", "points": [5]},
+        {"kind": "run", "apps": ["A1"], "windows": "abc"},
+        {"kind": "run", "apps": ["A1"], "windows": None},
+        {"kind": "run", "apps": ["A1"], "windows": True},
+        {"kind": "grid", "app_sets": [5], "schemes": ["baseline"]},
+        {"kind": "run", "apps": ["A1"], "batch_size": "big"},
     ],
 )
 def test_bad_specs_rejected(spec):

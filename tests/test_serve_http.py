@@ -87,6 +87,15 @@ def test_http_error_statuses():
         )
         assert status == 400
         assert "job spec" in payload["error"]["message"]
+        # 400, not a dropped connection: a sweep point that is no object.
+        status, payload = raw_request(
+            f"{client.url}/jobs",
+            method="POST",
+            body={"kind": "sweep", "points": [5]},
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "JobSpecError"
+        assert "point must be a JSON object" in payload["error"]["message"]
         # 404: unrouted path; 405: wrong method on a real path.
         status, _ = raw_request(f"{client.url}/nope")
         assert status == 404
