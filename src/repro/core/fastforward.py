@@ -49,11 +49,11 @@ import dataclasses
 from bisect import bisect_right
 from typing import Dict, List, Optional
 
-from ..energy.meter import EnergyReport, PowerMonitor
-from ..hw.power import busy_between, energy_between
+from ..energy.meter import EnergyReport, integrate_timeline
+from ..hw.power import integrate_between
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from ..sim.steadystate import BoundarySnapshot, dicts_close, hyperperiod
-from .results import RunResult, routine_busy_times
+from .results import RunResult
 from .scenario import Scenario
 from .schemes.base import SchemeContext, build_context
 
@@ -170,18 +170,12 @@ def _verified_boundary(
         b_oldest = (candidate - 2) * period
         b_previous = (candidate - 1) * period
         b_current = candidate * period
+        new_energy, new_busy = integrate_between(recorder, b_previous, b_current)
+        old_energy, old_busy = integrate_between(recorder, b_oldest, b_previous)
         if not dicts_close(
-            energy_between(recorder, b_previous, b_current),
-            energy_between(recorder, b_oldest, b_previous),
-            rtol=_DELTA_RTOL,
-            atol=_DELTA_ATOL,
-        ):
-            continue
-        if not dicts_close(
-            busy_between(recorder, b_previous, b_current),
-            busy_between(recorder, b_oldest, b_previous),
-            rtol=_DELTA_RTOL,
-            atol=_DELTA_ATOL,
+            new_energy, old_energy, rtol=_DELTA_RTOL, atol=_DELTA_ATOL
+        ) or not dicts_close(
+            new_busy, old_busy, rtol=_DELTA_RTOL, atol=_DELTA_ATOL
         ):
             continue
         return candidate
@@ -284,6 +278,7 @@ def try_fast_forward(
             phases=ctx.result_phases((index - 1) * period, index * period),
         )
     ctx.hub.run()
+    ctx.hub.sim.close()
     end_truncated = max(ctx.hub.sim.now, truncated.horizon_s)
     if ctx.qos_violations:
         return _fallback(recorder, "qos_violation")
@@ -307,23 +302,18 @@ def try_fast_forward(
         for key in boundaries[boundary].counters
     }
 
-    monitor = PowerMonitor(ctx.hub.recorder, ctx.cal.idle_hub_power_w)
-    base_energy = monitor.measure(end_truncated)
-    merged = dict(base_energy.by_component_routine)
-    for key, joules in energy_between(
+    merged, busy_times = integrate_timeline(ctx.hub.recorder, end_truncated)
+    cycle_energy, cycle_busy = integrate_between(
         ctx.hub.recorder, b_previous, b_current
-    ).items():
+    )
+    for key, joules in cycle_energy.items():
         merged[key] = merged.get(key, 0.0) + skipped * joules
     energy = EnergyReport(
         duration_s=duration_s,
         idle_floor_power_w=ctx.cal.idle_hub_power_w,
         by_component_routine=merged,
     )
-
-    busy_times = routine_busy_times(ctx.hub, end_truncated)
-    for routine, seconds in busy_between(
-        ctx.hub.recorder, b_previous, b_current
-    ).items():
+    for routine, seconds in cycle_busy.items():
         busy_times[routine] = busy_times.get(routine, 0.0) + skipped * seconds
 
     recorder.count("sim.ff.cycles_skipped", skipped)

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..apps.base import AppResult
-from ..energy.meter import EnergyReport
+from ..energy.meter import EnergyReport, integrate_timeline
 from ..firmware.capability import OffloadReport
 from ..hw.board import IoTHub
-from ..hw.power import BUSY_STATES, Routine
+from ..hw.power import Routine
 from ..units import to_mj, to_ms
 
 
@@ -20,12 +20,7 @@ def routine_busy_times(hub: IoTHub, end_time: float) -> Dict[str, float]:
     idle/wait time is excluded; only actual work (CPU/MCU execution,
     sensor reads, bus/NIC activity, wake transitions) counts.
     """
-    totals: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
-    for component in hub.recorder.components:
-        for change, duration in hub.recorder.intervals(component, end_time):
-            if change.state in BUSY_STATES:
-                totals[change.routine] = totals.get(change.routine, 0.0) + duration
-    return totals
+    return integrate_timeline(hub.recorder, end_time)[1]
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ...apps.base import AppResult, IoTApp, SampleWindow
+from ...energy.meter import EnergyReport, integrate_timeline
 from ...errors import CapacityError, WorkloadError
 from ...firmware.batching import BatchBuffer
 from ...firmware.driver import (
@@ -45,7 +46,7 @@ from ...sim.steadystate import (
     capture_snapshot,
 )
 from ...units import to_ms
-from ..results import RunResult, routine_busy_times
+from ..results import RunResult
 from .registry import get_scheme
 
 #: Window-indexed name tag (``A2.w5``) rebased by the cycle normalizer.
@@ -741,10 +742,6 @@ class SchemeContext:
     # ------------------------------------------------------------------
     def collect(self, end_time: float) -> RunResult:
         """Integrate energy and assemble the scenario's :class:`RunResult`."""
-        from ...energy.meter import PowerMonitor
-
-        monitor = PowerMonitor(self.hub.recorder, self.cal.idle_hub_power_w)
-        energy = monitor.measure(end_time)
         missing = [
             app.name
             for app in self.scenario.apps
@@ -755,14 +752,21 @@ class SchemeContext:
                 f"scenario {self.scenario.name}: apps without complete "
                 f"results: {missing}"
             )
+        by_component_routine, busy_times = integrate_timeline(
+            self.hub.recorder, end_time
+        )
         return RunResult(
             scenario_name=self.scenario.name,
             scheme=self.scenario.scheme,
             app_ids=[app.table2_id for app in self.scenario.apps],
             windows=self.scenario.windows,
             duration_s=end_time,
-            energy=energy,
-            busy_times=routine_busy_times(self.hub, end_time),
+            energy=EnergyReport(
+                duration_s=end_time,
+                idle_floor_power_w=self.cal.idle_hub_power_w,
+                by_component_routine=by_component_routine,
+            ),
+            busy_times=busy_times,
             app_results=dict(self._app_results),
             result_times=dict(self._result_times),
             qos_violations=list(self.qos_violations),
@@ -885,5 +889,6 @@ def execute_scenario(
             return result
     ctx = build_context(scenario, obs=obs)
     ctx.hub.run()
+    ctx.hub.sim.close()
     end_time = max(ctx.hub.sim.now, scenario.horizon_s)
     return ctx.collect(end_time)

@@ -5,8 +5,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..hw.power import Routine
+from ..hw.power import BUSY_STATES, Routine
 from ..sim.trace import TimelineRecorder
+
+
+def integrate_timeline(
+    recorder: TimelineRecorder, end_time: float
+) -> Tuple[Dict[Tuple[str, str], float], Dict[str, float]]:
+    """Joules per ``(component, routine)`` and busy seconds per routine.
+
+    One pass over every component's history, in sorted component order
+    and time order; each change's interval runs to the next change (the
+    last one to ``end_time``) and zero-length intervals are skipped.
+    Busy seconds count only :data:`~repro.hw.power.BUSY_STATES` and
+    start from a zero for every routine in :attr:`Routine.ORDER`.
+    """
+    energy: Dict[Tuple[str, str], float] = {}
+    busy: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
+    for component in recorder.components:
+        history = recorder.history(component)
+        if not history:
+            continue
+        current = history[0]
+        for following in history[1:] + [(end_time,)]:
+            duration = following[0] - current[0]
+            if duration > 0:
+                routine = current[4]
+                key = (component, routine)
+                energy[key] = energy.get(key, 0.0) + current[3] * duration
+                if current[2] in BUSY_STATES:
+                    busy[routine] = busy.get(routine, 0.0) + duration
+            current = following
+    return energy, busy
 
 
 @dataclass
@@ -158,28 +188,36 @@ class PowerMonitor:
 
     def measure(self, end_time: float) -> EnergyReport:
         """Integrate all components' power up to ``end_time``."""
-        report = EnergyReport(
-            duration_s=end_time, idle_floor_power_w=self.idle_floor_power_w
+        energy, _ = integrate_timeline(self.recorder, end_time)
+        return EnergyReport(
+            duration_s=end_time,
+            idle_floor_power_w=self.idle_floor_power_w,
+            by_component_routine=energy,
         )
-        accum = report.by_component_routine
-        for component in self.recorder.components:
-            for change, duration in self.recorder.intervals(component, end_time):
-                key = (component, change.routine)
-                accum[key] = accum.get(key, 0.0) + change.power_w * duration
-        return report
 
     def sample_trace(
         self, end_time: float, sample_interval_s: float
     ) -> List[Tuple[float, float]]:
         """Evenly spaced ``(time, hub_power_w)`` samples (Monsoon style)."""
+        histories = [
+            self.recorder.history(component)
+            for component in self.recorder.components
+        ]
+        # One forward sweep: each component's cursor is the index of the
+        # first change after the previous sample time, so the change in
+        # effect (``change.time <= time``) sits just before it.
+        cursors = [0] * len(histories)
         samples: List[Tuple[float, float]] = []
         steps = int(end_time / sample_interval_s)
         for index in range(steps + 1):
             time = index * sample_interval_s
             power = 0.0
-            for component in self.recorder.components:
-                change = self.recorder.state_at(component, time)
-                if change is not None:
-                    power += change.power_w
+            for slot, history in enumerate(histories):
+                cursor = cursors[slot]
+                while cursor < len(history) and history[cursor][0] <= time:
+                    cursor += 1
+                cursors[slot] = cursor
+                if cursor:
+                    power += history[cursor - 1][3]
             samples.append((time, power))
         return samples

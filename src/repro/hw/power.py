@@ -45,53 +45,41 @@ BUSY_STATES = frozenset({"busy", "read", "active", "tx"})
 def _clipped_intervals(
     recorder: TimelineRecorder, component: str, t0_s: float, t1_s: float
 ):
-    """Yield ``(change, duration)`` pairs clipped to ``[t0_s, t1_s)``."""
-    history = recorder.changes(component)
-    for index, change in enumerate(history):
-        following = (
-            history[index + 1].time if index + 1 < len(history) else t1_s
-        )
-        start = change.time if change.time > t0_s else t0_s
+    """Yield raw ``(entry, duration)`` pairs clipped to ``[t0_s, t1_s)``."""
+    history = recorder.history(component)
+    last = len(history) - 1
+    for index, entry in enumerate(history):
+        following = history[index + 1][0] if index < last else t1_s
+        start = entry[0] if entry[0] > t0_s else t0_s
         end = following if following < t1_s else t1_s
         if end > start:
-            yield change, end - start
+            yield entry, end - start
 
 
-def energy_between(
+def integrate_between(
     recorder: TimelineRecorder, t0_s: float, t1_s: float
-) -> Dict[Tuple[str, str], float]:
-    """Integrated joules per ``(component, routine)`` over ``[t0_s, t1_s)``.
+) -> Tuple[Dict[Tuple[str, str], float], Dict[str, float]]:
+    """Joules per ``(component, routine)`` and busy seconds per routine
+    over ``[t0_s, t1_s)``, in one pass over the timeline.
 
-    The per-cycle energy accounting behind fast-forward extrapolation: a
-    steady cycle's delta, multiplied by the number of skipped cycles,
-    extends a truncated run's report exactly (modulo float summation
-    order, which is why parity is asserted at rtol 1e-9 rather than
-    bit-identity).
+    The per-cycle accounting behind fast-forward extrapolation: a steady
+    cycle's deltas, multiplied by the number of skipped cycles, extend a
+    truncated run's report exactly (modulo float summation order, which
+    is why parity is asserted at rtol 1e-9 rather than bit-identity).
+    Busy seconds count only :data:`BUSY_STATES`.
     """
-    accum: Dict[Tuple[str, str], float] = {}
+    energy: Dict[Tuple[str, str], float] = {}
+    busy: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
     for component in recorder.components:
-        for change, duration in _clipped_intervals(
+        for entry, duration in _clipped_intervals(
             recorder, component, t0_s, t1_s
         ):
-            key = (component, change.routine)
-            accum[key] = accum.get(key, 0.0) + change.power_w * duration
-    return accum
-
-
-def busy_between(
-    recorder: TimelineRecorder, t0_s: float, t1_s: float
-) -> Dict[str, float]:
-    """Busy seconds per routine over ``[t0_s, t1_s)`` (see BUSY_STATES)."""
-    totals: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
-    for component in recorder.components:
-        for change, duration in _clipped_intervals(
-            recorder, component, t0_s, t1_s
-        ):
-            if change.state in BUSY_STATES:
-                totals[change.routine] = (
-                    totals.get(change.routine, 0.0) + duration
-                )
-    return totals
+            routine = entry[4]
+            key = (component, routine)
+            energy[key] = energy.get(key, 0.0) + entry[3] * duration
+            if entry[2] in BUSY_STATES:
+                busy[routine] = busy.get(routine, 0.0) + duration
+    return energy, busy
 
 
 class PowerStateMachine:
@@ -115,12 +103,17 @@ class PowerStateMachine:
         if initial_state not in states:
             raise PowerStateError(f"unknown initial state {initial_state!r}")
         self._sim = sim
-        self._recorder = recorder
         self.component = component
         self._states = dict(states)
         self.state = initial_state
         self.routine = initial_routine
-        self._record()
+        #: The component's raw timeline entries, appended to directly.
+        self._history = recorder.history(component)
+        recorder.record(
+            StateChange(
+                sim.now, component, initial_state, self.power_w, initial_routine
+            )
+        )
 
     @property
     def power_w(self) -> float:
@@ -138,28 +131,27 @@ class PowerStateMachine:
 
     def set_state(self, state: str, routine: Optional[str] = None) -> None:
         """Enter ``state``; optionally retag the active routine."""
-        if state not in self._states:
+        power_w = self._states.get(state)
+        if power_w is None:
             raise PowerStateError(f"{self.component}: unknown state {state!r}")
-        if routine is not None:
-            if routine not in Routine.ALL:
-                raise PowerStateError(
-                    f"{self.component}: unknown routine {routine!r}"
-                )
+        if routine is None:
+            routine = self.routine
+        elif routine in Routine.ALL:
             self.routine = routine
+        else:
+            raise PowerStateError(
+                f"{self.component}: unknown routine {routine!r}"
+            )
         self.state = state
-        self._record()
+        now = self._sim.now
+        history = self._history
+        if now < history[-1][0]:
+            raise ValueError(
+                f"out-of-order state change for {self.component}: "
+                f"{now} < {history[-1][0]}"
+            )
+        history.append((now, self.component, state, power_w, routine))
 
     def set_routine(self, routine: str) -> None:
         """Retag the current interval without changing power state."""
         self.set_state(self.state, routine)
-
-    def _record(self) -> None:
-        self._recorder.record(
-            StateChange(
-                time=self._sim.now,
-                component=self.component,
-                state=self.state,
-                power_w=self.power_w,
-                routine=self.routine,
-            )
-        )

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError
 
@@ -17,19 +17,26 @@ class Event:
 
     Events are ordered by ``(time, seq)``: the sequence number makes ordering
     of same-time events deterministic (FIFO in scheduling order), which keeps
-    simulations reproducible.
+    simulations reproducible.  The queue keys its heap on that pair, so
+    events themselves are never compared.
     """
 
     __slots__ = ("time", "seq", "callback", "cancelled", "_queue")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], None],
+        queue: Optional["EventQueue"] = None,
+    ):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         #: Owning queue while the event sits in its heap; ``None`` once
         #: popped or discarded, so late cancels don't corrupt the counts.
-        self._queue: Optional["EventQueue"] = None
+        self._queue = queue
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -40,16 +47,16 @@ class Event:
         if queue is not None:
             queue._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.9f} seq={self.seq}{flag}>"
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` objects keyed on ``(time, seq)``.
+    """Min-heap of ``(time, seq, event)`` entries.
+
+    Entries compare as plain tuples; ``seq`` is unique, so a comparison
+    never reaches the :class:`Event`.
 
     Live and cancelled entries are counted incrementally so ``len()`` and
     truth-testing — which the kernel performs once per executed event —
@@ -60,7 +67,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled = 0
@@ -75,16 +82,16 @@ class EventQueue:
         """Schedule ``callback`` at absolute ``time`` and return its event."""
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
-        event = Event(time, next(self._counter), callback)
-        event._queue = self
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, self)
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heappop(self._heap)[2]
             event._queue = None
             if not event.cancelled:
                 self._live -= 1
@@ -95,10 +102,10 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)._queue = None
+        while heap and heap[0][2].cancelled:
+            heappop(heap)[2]._queue = None
             self._cancelled -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     def pop_due(self, until: Optional[float]) -> Optional[Event]:
         """Pop the earliest live event unless it lies beyond ``until``.
@@ -112,14 +119,16 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            entry = heap[0]
+            event = entry[2]
             if event.cancelled:
-                heapq.heappop(heap)._queue = None
+                heappop(heap)
+                event._queue = None
                 self._cancelled -= 1
                 continue
-            if until is not None and event.time > until:
+            if until is not None and entry[0] > until:
                 return None
-            heapq.heappop(heap)
+            heappop(heap)
             event._queue = None
             self._live -= 1
             return event
@@ -132,14 +141,14 @@ class EventQueue:
         heap = self._heap
         if len(heap) >= _COMPACT_MIN_HEAP and self._cancelled * 2 > len(heap):
             survivors = []
-            for event in heap:
-                if event.cancelled:
-                    event._queue = None
+            for entry in heap:
+                if entry[2].cancelled:
+                    entry[2]._queue = None
                 else:
-                    survivors.append(event)
+                    survivors.append(entry)
             # In-place so instrumentation holding raw_heap() stays valid.
             heap[:] = survivors
-            heapq.heapify(heap)
+            heapify(heap)
             self._cancelled = 0
 
     @property
@@ -151,8 +160,11 @@ class EventQueue:
         """
         return len(self._heap)
 
-    def raw_heap(self) -> List[Event]:
+    def raw_heap(self) -> List[Tuple[float, int, Event]]:
         """The live heap list, for read-only instrumentation.
+
+        Each entry is a ``(time, seq, event)`` tuple; cancelled events
+        stay in the list until popped or compacted away.
 
         The kernel's run loop samples ``len()`` of this on every event;
         handing out the list once avoids a property call per event.

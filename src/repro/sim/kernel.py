@@ -34,7 +34,9 @@ class Simulator:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
-        self._processes: list[Process] = []
+        #: Live processes in spawn order (a dict used as an ordered set);
+        #: a process removes itself when it finishes.
+        self._processes: dict[Process, None] = {}
         #: Total events executed over the simulator's lifetime, across
         #: all :meth:`run` calls (segmented runs accumulate).
         self.events_executed = 0
@@ -72,9 +74,20 @@ class Simulator:
     ) -> Process:
         """Start a generator-based process at the current time."""
         process = Process(self, generator, name=name)
-        self._processes.append(process)
+        self._processes[process] = None
         process.start()
         return process
+
+    def close(self) -> None:
+        """End the simulation by finishing every live process.
+
+        For a run that is over: a process still blocked on a signal once
+        the queue has drained (a daemon such as the interrupt dispatcher)
+        would otherwise keep its generator frame, and everything that
+        frame references, alive for as long as the simulator.
+        """
+        for process in tuple(self._processes):
+            process.interrupt()
 
     def next_event_time(self) -> Optional[float]:
         """Time of the next scheduled event (used by sleep governors)."""
@@ -82,7 +95,7 @@ class Simulator:
 
     @property
     def processes(self) -> tuple:
-        """Every process ever spawned, finished ones included."""
+        """Live (unfinished) processes, in spawn order."""
         return tuple(self._processes)
 
     def iter_pending(self) -> list:
@@ -91,14 +104,11 @@ class Simulator:
         O(n log n); meant for boundary snapshots and debugging, never the
         per-event hot path.
         """
-        return sorted(
-            (
-                event
-                for event in self._queue.raw_heap()
-                if not event.cancelled
-            ),
-            key=lambda event: (event.time, event.seq),
-        )
+        return [
+            entry[2]
+            for entry in sorted(self._queue.raw_heap())
+            if not entry[2].cancelled
+        ]
 
     def step(self) -> bool:
         """Execute the next event; return ``False`` if the queue was empty."""
@@ -125,6 +135,7 @@ class Simulator:
         started_at = self._now
         max_depth = 0
         heap = self._queue.raw_heap()
+        pop_due = self._queue.pop_due
         try:
             executed = 0
             # One queue access per event: pop_due prunes cancelled
@@ -132,7 +143,7 @@ class Simulator:
             # (peek_time() followed by step()->pop() would walk the same
             # cancelled run twice).
             while True:
-                event = self._queue.pop_due(until)
+                event = pop_due(until)
                 if event is None:
                     if until is not None and self._queue:
                         # Live events remain beyond the horizon: park the

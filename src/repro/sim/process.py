@@ -109,6 +109,9 @@ class Process:
         self._waiting_on: Optional[Signal] = None
         #: Counter label cached so waits don't rebuild the f-string.
         self._wait_label: Optional[str] = None
+        #: The callback every ``Delay`` schedules: one bound method per
+        #: process instead of a new closure per resume.
+        self._resume = self._advance
 
     @property
     def waiting_on(self) -> Optional[Signal]:
@@ -117,14 +120,14 @@ class Process:
 
     def start(self) -> None:
         """Schedule the first step of the generator at the current time."""
-        self.sim.schedule(0.0, lambda: self._advance(None))
+        self.sim.schedule(0.0, self._resume)
 
     def wake(self, payload: Any = None) -> None:
         """Resume a process blocked on a signal, delivering ``payload``."""
         self._waiting_on = None
         self._advance(payload)
 
-    def _advance(self, value: Any) -> None:
+    def _advance(self, value: Any = None) -> None:
         if self.finished:
             raise SimulationError(f"{self.name} resumed after finishing")
         try:
@@ -132,12 +135,16 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._dispatch(command)
+        if type(command) is Delay:
+            # The hot path, inline: Delay rejects negative durations, so
+            # the push needs no past-time check of its own.
+            sim = self.sim
+            sim._queue.push(sim._now + command.duration, self._resume)
+        else:
+            self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
-        if isinstance(command, Delay):
-            self.sim.schedule(command.duration, lambda: self._advance(None))
-        elif isinstance(command, Wait):
+        if isinstance(command, Wait):
             obs = self.sim.obs
             if obs.enabled:
                 label = self._wait_label
@@ -161,6 +168,7 @@ class Process:
         self.finished = True
         self.result = result
         self.finish_time = self.sim.now
+        self.sim._processes.pop(self, None)
         self._completion.fire(result)
 
     def interrupt(self) -> None:

@@ -71,12 +71,12 @@ def _identity(name: str) -> str:
 def describe_callback(callback: Callable, normalize: Normalizer) -> str:
     """Deterministic, address-free label for a scheduled callback.
 
-    Bound methods are labeled by their owner's ``name`` (or type) plus
-    the method name.  Closures — the kernel schedules process resumes as
-    lambdas closing over the :class:`~repro.sim.process.Process` — are
-    labeled by their qualname plus the normalized ``name`` of every
-    named object in their cells, so two boundaries one cycle apart
-    produce identical labels for equivalent pending work.
+    Bound methods — a :class:`~repro.sim.process.Process` schedules its
+    resumes as one — are labeled by their owner's ``name`` (or type)
+    plus the method name.  Closures are labeled by their qualname plus
+    the normalized ``name`` of every named object in their cells, so two
+    boundaries one cycle apart produce identical labels for equivalent
+    pending work.
     """
     bound = getattr(callback, "__self__", None)
     if bound is not None:
@@ -160,7 +160,6 @@ def capture_snapshot(
                 else "",
             )
             for process in sim.processes
-            if not process.finished
         )
     )
     return BoundarySnapshot(boundary_s, components, queue, waiting)

@@ -3,18 +3,23 @@
 The :class:`TimelineRecorder` is the substrate for the paper's Figure 5
 (power states of the MCU and CPU over time) and for the energy integration in
 :mod:`repro.energy.meter`.
+
+Each component's history is a list of exact ``tuple`` entries laid out
+as ``(time, component, state, power_w, routine)``.  Tuples of floats and
+strings are untracked by the cyclic garbage collector after their first
+collection, so a finished run's timeline — hundreds of thousands of
+entries, kept alive as long as its result — costs the collector nothing.
+:class:`StateChange` is the named view the read APIs build on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..units import to_ms
 
 
-@dataclass(frozen=True)
-class StateChange:
+class StateChange(NamedTuple):
     """One component's power-state change at an instant."""
 
     time: float
@@ -38,17 +43,30 @@ class TimelineRecorder:
     """
 
     def __init__(self) -> None:
-        self._changes: Dict[str, List[StateChange]] = {}
+        self._changes: Dict[str, List[tuple]] = {}
+
+    def history(self, component: str) -> List[tuple]:
+        """The live list of raw entries for ``component``.
+
+        Entries are exact ``(time, component, state, power_w, routine)``
+        tuples in non-decreasing time order.  The list is created empty on
+        first use; a :class:`~repro.hw.power.PowerStateMachine` fetches it
+        once and appends to it directly, everyone else only reads it.
+        """
+        history = self._changes.get(component)
+        if history is None:
+            history = self._changes[component] = []
+        return history
 
     def record(self, change: StateChange) -> None:
         """Append a state change for its component."""
-        history = self._changes.setdefault(change.component, [])
-        if history and change.time < history[-1].time:
+        history = self.history(change.component)
+        if history and change.time < history[-1][0]:
             raise ValueError(
                 f"out-of-order state change for {change.component}: "
-                f"{change.time} < {history[-1].time}"
+                f"{change.time} < {history[-1][0]}"
             )
-        history.append(change)
+        history.append(tuple(change))
 
     @property
     def components(self) -> Tuple[str, ...]:
@@ -57,7 +75,7 @@ class TimelineRecorder:
 
     def changes(self, component: str) -> Tuple[StateChange, ...]:
         """All recorded changes for one component, in time order."""
-        return tuple(self._changes.get(component, ()))
+        return tuple(map(StateChange._make, self._changes.get(component, ())))
 
     def last_change(self, component: str) -> Optional[StateChange]:
         """The most recent change for ``component`` in O(1) (or None).
@@ -67,7 +85,7 @@ class TimelineRecorder:
         :meth:`changes`.
         """
         history = self._changes.get(component)
-        return history[-1] if history else None
+        return StateChange._make(history[-1]) if history else None
 
     def change_count(self, component: str) -> int:
         """How many changes ``component`` has recorded (an O(1) read)."""
@@ -83,24 +101,24 @@ class TimelineRecorder:
         """
         history = self._changes.get(component, [])
         for current, following in zip(history, history[1:]):
-            duration = following.time - current.time
+            duration = following[0] - current[0]
             if duration > 0:
-                yield current, duration
+                yield StateChange._make(current), duration
         if history:
             last = history[-1]
-            tail = end_time - last.time
+            tail = end_time - last[0]
             if tail > 0:
-                yield last, tail
+                yield StateChange._make(last), tail
 
     def state_at(self, component: str, time: float) -> Optional[StateChange]:
         """The change in effect at ``time`` for ``component`` (or None)."""
         latest = None
-        for change in self._changes.get(component, []):
-            if change.time <= time:
-                latest = change
+        for entry in self._changes.get(component, []):
+            if entry[0] <= time:
+                latest = entry
             else:
                 break
-        return latest
+        return None if latest is None else StateChange._make(latest)
 
     def time_in_state(self, component: str, state: str, end_time: float) -> float:
         """Total time the component spent in ``state`` up to ``end_time``."""

@@ -103,3 +103,44 @@ def test_sample_trace_matches_instantaneous_power():
     samples = monitor.sample_trace(end_time=2.0, sample_interval_s=0.5)
     assert samples[0] == (0.0, pytest.approx(2.51))
     assert samples[-1] == (2.0, pytest.approx(5.01))
+
+
+def _brute_force_trace(recorder, end_time, sample_interval_s):
+    """Per-sample ``state_at`` rescans: the former sample_trace."""
+    samples = []
+    for index in range(int(end_time / sample_interval_s) + 1):
+        time = index * sample_interval_s
+        power = 0.0
+        for component in recorder.components:
+            change = recorder.state_at(component, time)
+            if change is not None:
+                power += change.power_w
+        samples.append((time, power))
+    return samples
+
+
+@pytest.mark.parametrize("interval", [0.5, 0.25, 0.3, 3.0])
+def test_sample_trace_sweep_equals_state_at_scan_hand_built(interval):
+    recorder = TimelineRecorder()
+    record(recorder, 0.0, "cpu", "idle", 2.5, Routine.IDLE)
+    record(recorder, 1.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
+    record(recorder, 1.0, "cpu", "wake", 4.0, Routine.INTERRUPT)
+    record(recorder, 0.0, "mcu", "sleep", 0.01, Routine.IDLE)
+    record(recorder, 0.5, "mcu", "busy", 0.3, Routine.DATA_COLLECTION)
+    record(recorder, 0.75, "nic", "tx", 1.2, Routine.DATA_TRANSFER)
+    monitor = PowerMonitor(recorder, idle_floor_power_w=0.0)
+    assert monitor.sample_trace(2.0, interval) == _brute_force_trace(
+        recorder, 2.0, interval
+    )
+
+
+def test_sample_trace_sweep_equals_state_at_scan_real_run():
+    from repro.core import run_apps
+
+    result = run_apps(["A2", "A4"], "baseline")
+    monitor = PowerMonitor(result.hub.recorder, idle_floor_power_w=0.0)
+    for steps in (256, 2000):
+        interval = result.duration_s / steps
+        assert monitor.sample_trace(
+            result.duration_s, interval
+        ) == _brute_force_trace(result.hub.recorder, result.duration_s, interval)

@@ -9,7 +9,7 @@ event ordering or the energy accounting changed, not just noise.
 
 import pytest
 
-from repro.core import ScenarioEngine, Scenario, run_apps
+from repro.core import Scenario, ScenarioEngine, Scheme, run_apps, run_scenario
 
 #: (scenario label, scheme) -> (total_j.hex(), duration_s.hex()),
 #: recorded from the seed executor before the schemes/ refactor.
@@ -43,8 +43,6 @@ def test_total_energy_bit_identical_to_seed(label, scheme):
 
 def test_all_six_schemes_covered():
     """The A2 golden block exercises every registered built-in scheme."""
-    from repro.core import Scheme
-
     covered = {scheme for label, scheme in GOLDEN if label == "A2"}
     assert covered == set(Scheme.ALL)
 
@@ -67,3 +65,109 @@ def test_cached_engine_hit_matches_cold_run(tmp_path):
     # The cold in-process run keeps its hub; cached copies never carry one.
     assert cold.hub is not None
     assert hit.hub is None
+
+
+# ----------------------------------------------------------------------
+# One-pass integration vs the two-pass loops it replaced
+# ----------------------------------------------------------------------
+def _two_pass_reference(recorder, end_time):
+    """The former separate energy and busy-time loops, kept verbatim."""
+    from repro.hw.power import BUSY_STATES, Routine
+
+    energy = {}
+    for component in recorder.components:
+        for change, duration in recorder.intervals(component, end_time):
+            key = (component, change.routine)
+            energy[key] = energy.get(key, 0.0) + change.power_w * duration
+    busy = {routine: 0.0 for routine in Routine.ORDER}
+    for component in recorder.components:
+        for change, duration in recorder.intervals(component, end_time):
+            if change.state in BUSY_STATES:
+                busy[change.routine] = busy.get(change.routine, 0.0) + duration
+    return energy, busy
+
+
+def _two_pass_between_reference(recorder, t0_s, t1_s):
+    """The former clipped energy and busy-time loops, kept verbatim."""
+    from repro.hw.power import BUSY_STATES, Routine
+
+    def clipped(component):
+        history = recorder.changes(component)
+        for index, change in enumerate(history):
+            following = (
+                history[index + 1].time if index + 1 < len(history) else t1_s
+            )
+            start = change.time if change.time > t0_s else t0_s
+            end = following if following < t1_s else t1_s
+            if end > start:
+                yield change, end - start
+
+    energy = {}
+    for component in recorder.components:
+        for change, duration in clipped(component):
+            key = (component, change.routine)
+            energy[key] = energy.get(key, 0.0) + change.power_w * duration
+    busy = {routine: 0.0 for routine in Routine.ORDER}
+    for component in recorder.components:
+        for change, duration in clipped(component):
+            if change.state in BUSY_STATES:
+                busy[change.routine] = busy.get(change.routine, 0.0) + duration
+    return energy, busy
+
+
+def _assert_one_pass_matches(recorder, end_time):
+    from repro.energy.meter import integrate_timeline
+
+    energy, busy = integrate_timeline(recorder, end_time)
+    ref_energy, ref_busy = _two_pass_reference(recorder, end_time)
+    # list(items()) compares key order as well as the exact floats.
+    assert list(energy.items()) == list(ref_energy.items())
+    assert list(busy.items()) == list(ref_busy.items())
+
+
+@pytest.mark.parametrize("scheme", sorted(Scheme.ALL))
+def test_one_pass_integration_matches_two_passes_fig11(scheme):
+    result = run_apps(["A2", "A7"], scheme)
+    _assert_one_pass_matches(result.hub.recorder, result.duration_s)
+    ref_energy, ref_busy = _two_pass_reference(
+        result.hub.recorder, result.duration_s
+    )
+    assert list(result.energy.by_component_routine.items()) == list(
+        ref_energy.items()
+    )
+    assert list(result.busy_times.items()) == list(ref_busy.items())
+
+
+def test_one_pass_integration_matches_two_passes_with_failures():
+    result = run_scenario(
+        Scenario.of(
+            ["A2"], scheme="baseline", sensor_failure_rates={"S4": 0.25}
+        )
+    )
+    # Failed availability checks cost extra read bursts.
+    clean = run_apps(["A2"], "baseline")
+    assert result.energy.total_j > clean.energy.total_j
+    _assert_one_pass_matches(result.hub.recorder, result.duration_s)
+
+
+def test_one_pass_integration_matches_two_passes_fast_forwarded():
+    from repro.hw.power import integrate_between
+
+    result = run_apps(["A3"], "batching", windows=600, fast_forward=True)
+    recorder = result.hub.recorder
+    truncated_end = result.hub.sim.now
+    # The hub holds only the truncated prefix: this run was fast-forwarded.
+    assert truncated_end < result.duration_s
+    _assert_one_pass_matches(recorder, truncated_end)
+    _assert_one_pass_matches(recorder, 2.0 * truncated_end)
+    for t0_s, t1_s in (
+        (0.0, truncated_end),
+        (truncated_end / 3, 2 * truncated_end / 3),
+        (truncated_end / 2, 3 * truncated_end),
+    ):
+        energy, busy = integrate_between(recorder, t0_s, t1_s)
+        ref_energy, ref_busy = _two_pass_between_reference(
+            recorder, t0_s, t1_s
+        )
+        assert list(energy.items()) == list(ref_energy.items())
+        assert list(busy.items()) == list(ref_busy.items())

@@ -75,7 +75,7 @@ def test_cancel_keeps_live_count_consistent():
 
     def brute_force():
         return sum(
-            1 for event in queue.raw_heap() if not event.cancelled
+            1 for entry in queue.raw_heap() if not entry[2].cancelled
         )
 
     for index in (0, 7, 3):

@@ -1,9 +1,12 @@
 """Unit tests for the simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, Signal, Simulator, Wait
 
 
 def test_clock_starts_at_zero():
@@ -108,3 +111,38 @@ def test_deterministic_ordering_between_processes():
     sim.spawn(proc("second"))
     sim.run()
     assert order == ["first", "second"]
+
+
+def test_processes_lists_only_live_ones_and_releases_finished():
+    sim = Simulator()
+
+    def worker(duration):
+        yield Delay(duration)
+
+    short = sim.spawn(worker(1.0), name="short")
+    long = sim.spawn(worker(2.0), name="long")
+    assert sim.processes == (short, long)
+    sim.run(until=1.5)
+    assert sim.processes == (long,)
+    ref = weakref.ref(short)
+    del short
+    gc.collect()
+    assert ref() is None
+    sim.run()
+    assert sim.processes == ()
+
+
+def test_close_finishes_processes_blocked_forever():
+    sim = Simulator()
+    never = Signal("never")
+
+    def daemon():
+        yield Wait(never)
+
+    process = sim.spawn(daemon(), name="daemon")
+    sim.run()
+    assert sim.processes == (process,)
+    sim.close()
+    assert sim.processes == ()
+    assert process.finished
+    assert never.fire() == 0

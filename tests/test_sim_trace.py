@@ -1,7 +1,12 @@
 """Unit tests for the timeline recorder."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core import run_apps
+from repro.sim import Simulator
 from repro.sim.trace import StateChange, TimelineRecorder
 
 
@@ -69,3 +74,45 @@ def test_render_ascii_strip():
         "cpu", end_time=1.0, width=10, state_chars={"sleep": ".", "busy": "#"}
     )
     assert strip == "....." + "#####"
+
+
+def test_record_stores_exact_tuples_and_reads_back_named_views():
+    recorder = TimelineRecorder()
+    recorder.record(change(0.0, state="idle", power=2.5))
+    (entry,) = recorder.history("cpu")
+    assert type(entry) is tuple
+    assert entry == (0.0, "cpu", "idle", 2.5, "idle")
+    assert recorder.changes("cpu") == (change(0.0, state="idle", power=2.5),)
+    assert type(recorder.last_change("cpu")) is StateChange
+
+
+def test_finished_run_leaves_nothing_for_the_collector(monkeypatch):
+    """Deterministic GC guard: a kept result pins no tracked timeline.
+
+    A sweep keeps every result (and so every hub's timeline) alive, so
+    each tracked record or finished process would be re-walked by every
+    later full collection.  Counts only, no wall-clock threshold.
+    """
+    spawned = []
+    spawn = Simulator.spawn
+
+    def recording_spawn(self, generator, name=None):
+        process = spawn(self, generator, name)
+        spawned.append(weakref.ref(process))
+        return process
+
+    monkeypatch.setattr(Simulator, "spawn", recording_spawn)
+    result = run_apps(["A2", "A4"], "bcom")
+    gc.collect()
+    recorder = result.hub.recorder
+    entries = [
+        entry
+        for component in recorder.components
+        for entry in recorder.history(component)
+    ]
+    assert len(entries) > 1000
+    assert all(type(entry) is tuple for entry in entries)
+    assert not any(gc.is_tracked(entry) for entry in entries)
+    assert result.hub.sim.processes == ()
+    assert spawned
+    assert all(ref() is None for ref in spawned)
