@@ -64,7 +64,9 @@ from .schemes.base import execute_scenario
 #: closed-form and event-simulation entries can never collide in the
 #: cache; analytic entries pin ``fast_forward`` to False (the closed
 #: form has no steady-state skipping to toggle).
-FINGERPRINT_VERSION = 4
+#: v5: failure injection seeds its noise with a crc32 of the sensor id
+#: instead of ``hash()``, which changed with ``PYTHONHASHSEED``.
+FINGERPRINT_VERSION = 5
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form
@@ -230,14 +232,15 @@ def strip_hub(result: RunResult) -> RunResult:
     return dataclasses.replace(result, hub=None)
 
 
+#: One batch outcome: a result, or the ReproError that stopped the point.
+Outcome = Union[RunResult, ReproError]
+
 #: One dispatched unit: (pending position, scenario, fast_forward flag,
 #: strip-the-hub flag).
 _Task = Tuple[int, Scenario, bool, bool]
-#: One runner outcome: position, result-or-None, error-or-None, and the
-#: (pid, wall_seconds) pair feeding the engine's per-worker accounting.
-_TaskOutcome = Tuple[
-    int, Optional[RunResult], Optional[ReproError], Tuple[int, float]
-]
+#: One runner outcome: position, outcome, and the (pid, wall_seconds)
+#: pair feeding the engine's per-worker accounting.
+_TaskOutcome = Tuple[int, Outcome, Tuple[int, float]]
 
 
 def _run_task(item: _Task) -> _TaskOutcome:
@@ -252,14 +255,15 @@ def _run_task(item: _Task) -> _TaskOutcome:
     """
     index, scenario, fast_forward, strip = item
     started = time.perf_counter()
+    outcome: Outcome
     try:
-        run = execute_scenario(scenario, fast_forward=fast_forward)
-        result: Optional[RunResult] = strip_hub(run) if strip else run
-        error: Optional[ReproError] = None
+        outcome = execute_scenario(scenario, fast_forward=fast_forward)
+        if strip:
+            outcome = strip_hub(outcome)
     except ReproError as exc:
-        result, error = None, exc
+        outcome = exc
     elapsed = time.perf_counter() - started
-    return index, result, error, (os.getpid(), elapsed)
+    return index, outcome, (os.getpid(), elapsed)
 
 
 def _scenario_label(scenario: Scenario) -> str:
@@ -268,10 +272,6 @@ def _scenario_label(scenario: Scenario) -> str:
     base = f"{scenario.scheme}[{apps}]"
     name = getattr(scenario, "name", "")
     return f"{name}: {base}" if name else base
-
-
-#: One batch outcome: a result, or the ReproError that stopped the point.
-Outcome = Union[RunResult, ReproError]
 
 
 class ScenarioEngine:
@@ -291,10 +291,11 @@ class ScenarioEngine:
     capacity; pass a capacity without ``cache_dir`` for a memory-only
     cache, or ``0`` to disable the memory tier).  ``cache_max_bytes``
     arms an oldest-first eviction pass over the disk tier after each
-    run.  ``dedup=True`` (default) canonicalizes app order so permuted
-    grid points simulate once; see :func:`canonicalize_scenario` for
-    when a scenario opts out.  ``fast_forward=True`` lets periodic
-    scenarios skip steady-state cycles analytically (rtol 1e-9 on
+    batch, at every tier.  ``dedup=True`` (default) canonicalizes app
+    order so permuted grid points simulate once; see
+    :func:`canonicalize_scenario` for when a scenario opts out.
+    ``fast_forward=True`` lets periodic scenarios skip steady-state
+    cycles analytically (rtol 1e-9 on
     energy/duration, exact counters; aperiodic scenarios transparently
     run in full) — fast-forwarded results are fingerprinted separately,
     so the cache never mixes the two modes.
@@ -383,21 +384,6 @@ class ScenarioEngine:
     def __exit__(self, *_exc_info: object) -> None:
         self.close()
 
-    @property
-    def cache_hits(self) -> int:
-        """Results served from either cache tier so far."""
-        return self.metrics.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Scenarios that had to be simulated (and were then cached)."""
-        return self.metrics.cache_misses
-
-    @property
-    def dedup_hits(self) -> int:
-        """Grid points served by fanning out another point's simulation."""
-        return self.metrics.dedup_hits
-
     # ------------------------------------------------------------------
     # fingerprinting and rebinding
     # ------------------------------------------------------------------
@@ -410,14 +396,14 @@ class ScenarioEngine:
             )
         return resolved
 
-    def _fingerprint(self, scenario: Scenario, fidelity: str = "des") -> str:
+    def _fingerprint(self, scenario: Scenario, tier: str) -> str:
         """Fingerprint one scenario, charging the time to the metrics."""
         started = time.perf_counter()
         fingerprint = scenario_fingerprint(
             scenario,
             fast_forward=self.fast_forward,
             canonical=self.dedup,
-            fidelity=fidelity,
+            fidelity=tier,
         )
         self.metrics.fingerprint_wall_s += time.perf_counter() - started
         return fingerprint
@@ -448,18 +434,7 @@ class ScenarioEngine:
             if self._resolve_fidelity(fidelity) == "analytic"
             else "des"
         )
-        started = time.perf_counter()
-        result = [
-            scenario_fingerprint(
-                scenario,
-                fast_forward=self.fast_forward,
-                canonical=self.dedup,
-                fidelity=tier,
-            )
-            for scenario in scenarios
-        ]
-        self.metrics.fingerprint_wall_s += time.perf_counter() - started
-        return result
+        return [self._fingerprint(scenario, tier) for scenario in scenarios]
 
     def batch_key(
         self,
@@ -518,15 +493,6 @@ class ScenarioEngine:
         else:
             self.metrics.cache_disk_hits += count
 
-    def _sync_backend_metrics(self) -> None:
-        backend = self._backend
-        if backend is None:
-            return
-        self.metrics.backend_name = backend.name
-        self.metrics.backend_spawns = backend.spawns
-        self.metrics.backend_dispatches = backend.dispatches
-        self.metrics.backend_tasks = backend.tasks
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -536,45 +502,16 @@ class ScenarioEngine:
         client: Optional[str] = None,
         fidelity: Optional[str] = None,
     ) -> RunResult:
-        """Run one scenario: cache hit, or simulate (and populate cache).
+        """Run one scenario: exactly ``run_many([scenario])[0]``.
 
         ``client`` attributes the cache traffic to a per-client bucket
         (see :attr:`cache_accounting`); it never changes the result.
         ``fidelity`` overrides the engine's default tier for this call.
+        Like any batch, a DES run counts one backend dispatch and task,
+        and a non-library bug surfaces as
+        :class:`~repro.errors.ChunkTaskError` naming the scenario.
         """
-        resolved = self._resolve_fidelity(fidelity)
-        if resolved != "des":
-            outcome = self.run_batch(
-                [scenario], client=client, fidelity=resolved
-            )[0]
-            if isinstance(outcome, ReproError):
-                raise outcome
-            return outcome
-        started = time.perf_counter()
-        fingerprint = None
-        if self._cache.enabled:
-            fingerprint = self._fingerprint(scenario)
-            hit = self._cache.get(fingerprint, client=client)
-            if hit is not None:
-                tier, cached = hit
-                self._note_cache_hit(tier)
-                self.metrics.run_wall_s += time.perf_counter() - started
-                return self._rebind(cached, scenario)
-        sim_started = time.perf_counter()
-        result = execute_scenario(
-            self._execution_form(scenario), fast_forward=self.fast_forward
-        )
-        self.metrics.note_worker(
-            self._worker_label(os.getpid()),
-            time.perf_counter() - sim_started,
-        )
-        self.metrics.scenarios_run += 1
-        if fingerprint is not None:
-            self.metrics.cache_misses += 1
-            self._cache.put(fingerprint, strip_hub(result), client=client)
-            self._cache.maybe_gc()
-        self.metrics.run_wall_s += time.perf_counter() - started
-        return self._rebind(result, scenario)
+        return self.run_many([scenario], client=client, fidelity=fidelity)[0]
 
     def run_batch(
         self,
@@ -590,7 +527,7 @@ class ScenarioEngine:
         whole batch instead of disappearing into per-point errors.
 
         Points sharing a (canonical) fingerprint are grouped: the first
-        cache lookup serves the whole group, or one simulation of the
+        cache lookup serves the whole group, or one evaluation of the
         canonical ordering fans out to every member (``dedup_hits``
         counts the members beyond the first).  ``client`` attributes the
         batch's cache traffic per client; it never changes results.
@@ -598,242 +535,181 @@ class ScenarioEngine:
         ``fidelity`` overrides the engine's default tier for this call:
         ``"analytic"`` answers from the closed-form models (DES fallback
         for unsupported points); ``"auto"`` answers analytically, then
-        re-runs the frontier through the DES (see :meth:`__init__`).
+        re-runs the frontier through the DES (see :meth:`_frontier`).
         Every outcome's ``fidelity`` field records the tier that
-        actually produced it.
+        actually produced it.  Whatever the tier, the disk tier's
+        ``cache_max_bytes`` eviction runs once after the batch.
         """
         resolved = self._resolve_fidelity(fidelity)
-        if resolved == "analytic":
-            return self._run_batch_analytic(scenarios, client)
-        if resolved == "auto":
-            return self._run_batch_auto(scenarios, client)
-        return self._run_batch_des(scenarios, client)
-
-    def _run_batch_des(
-        self, scenarios: Sequence[Scenario], client: Optional[str] = None
-    ) -> List[Outcome]:
-        """The authoritative tier: :meth:`run_batch`'s DES path."""
         started = time.perf_counter()
-        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        keyed = self._cache.enabled or self.dedup
-        # Group member indices by fingerprint (or by position when
-        # neither caching nor dedup needs one — each its own group).
-        group_order: List[str] = []
-        members: Dict[str, List[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            key = self._fingerprint(scenario) if keyed else f"@{index}"
-            if key not in members:
-                members[key] = []
-                group_order.append(key)
-            members[key].append(index)
-        # Cache pass: one lookup per group serves every member.
-        pending: List[Tuple[str, Scenario]] = []
-        for key in group_order:
-            indices = members[key]
-            if self._cache.enabled:
-                hit = self._cache.get(key, client=client)
-                if hit is not None:
-                    tier, cached = hit
-                    self._note_cache_hit(tier, count=len(indices))
-                    for index in indices:
-                        outcomes[index] = self._rebind(
-                            cached, scenarios[index]
-                        )
-                    continue
-            pending.append((key, self._execution_form(scenarios[indices[0]])))
-        # Simulation pass: one execution per surviving group, through
-        # the backend.  A parallel backend with a single surviving point
-        # short-circuits inline (no dispatch is worth one task), which
-        # also keeps that result's live hub attached.
-        executed: Dict[str, Tuple[Optional[RunResult], Optional[ReproError]]]
-        executed = {}
-        backend = self.backend
-        if pending:
-            outcomes_iter: Sequence[_TaskOutcome]
-            if backend.parallel and len(pending) == 1:
-                # run_chunk keeps error attribution identical to the
-                # dispatched path (task bugs surface as ChunkTaskError).
-                outcomes_iter = run_chunk(
-                    _run_task,
-                    [(0, pending[0][1], self.fast_forward, False)],
-                    0,
-                    [_scenario_label(pending[0][1])],
+        if resolved == "des":
+            outcomes = self._run_tier(scenarios, "des", client)
+        else:
+            outcomes = self._run_tier(scenarios, "analytic", client)
+            self.metrics.analytic_wall_s += time.perf_counter() - started
+            confirm = [
+                index for index, slot in enumerate(outcomes) if slot is None
+            ]
+            if resolved == "auto":
+                frontier = self._frontier(scenarios, outcomes)
+                self.metrics.frontier_points += len(frontier)
+                confirm.extend(frontier)
+                self.metrics.des_confirmations += len(confirm)
+            if confirm:
+                confirmed = self._run_tier(
+                    [scenarios[index] for index in confirm], "des", client
                 )
-            else:
-                outcomes_iter = backend.submit_batch(
-                    _run_task,
-                    [
-                        (position, scenario, self.fast_forward, backend.parallel)
-                        for position, (_key, scenario) in enumerate(pending)
-                    ],
-                    labels=[
-                        _scenario_label(scenario) for _key, scenario in pending
-                    ],
-                )
-            for position, result, error, (pid, elapsed) in outcomes_iter:
-                executed[pending[position][0]] = (result, error)
-                self.metrics.note_worker(self._worker_label(pid), elapsed)
-            self._sync_backend_metrics()
-        self.metrics.scenarios_run += len(pending)
-        # Fan-out pass: publish to caches, deliver to every member.
-        for key, _scenario in pending:
-            result, error = executed[key]
-            indices = members[key]
-            if result is not None and self._cache.enabled:
-                self.metrics.cache_misses += 1
-                self._cache.put(key, strip_hub(result), client=client)
-            self.metrics.dedup_hits += len(indices) - 1
-            for position, index in enumerate(indices):
-                if error is not None:
-                    outcomes[index] = error
-                elif position == 0:
-                    # The first requester keeps the live result (with
-                    # its hub when this was an in-process serial run).
-                    assert result is not None
-                    outcomes[index] = self._rebind(result, scenarios[index])
-                else:
-                    assert result is not None
-                    outcomes[index] = self._rebind(
-                        strip_hub(result), scenarios[index]
-                    )
+                for index, outcome in zip(confirm, confirmed):
+                    outcomes[index] = outcome
         self._cache.maybe_gc()
         self.metrics.run_wall_s += time.perf_counter() - started
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _analytic_outcomes(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Optional[Outcome]]:
-        """Closed-form pass: per-point outcome, or ``None`` for the DES.
-
-        Mirrors the DES batch's grouping (fingerprint dedup, cache pass,
-        fan-out) but evaluates inline — closed-form models are far
-        cheaper than any dispatch.  A ``None`` slot marks a point the
-        analytic tier cannot cover (:class:`AnalyticUnsupported`, at the
-        gate or mid-evaluation); scheme feasibility errors are final —
-        the analytic tier raises them identically to the DES.
-        """
-        started = time.perf_counter()
-        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        keyed = self._cache.enabled or self.dedup
-        group_order: List[str] = []
-        members: Dict[str, List[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            key = (
-                self._fingerprint(scenario, fidelity="analytic")
-                if keyed
-                else f"@{index}"
-            )
-            if key not in members:
-                members[key] = []
-                group_order.append(key)
-            members[key].append(index)
-        for key in group_order:
-            indices = members[key]
-            if self._cache.enabled:
-                hit = self._cache.get(key, client=client)
-                if hit is not None:
-                    tier, cached = hit
-                    self._note_cache_hit(tier, count=len(indices))
-                    for index in indices:
-                        outcomes[index] = self._rebind(
-                            cached, scenarios[index]
-                        )
-                    continue
-            result: Optional[RunResult] = None
-            error: Optional[ReproError] = None
-            try:
-                result = analytic_scenario_result(
-                    self._execution_form(scenarios[indices[0]])
-                )
-            except AnalyticUnsupported:
-                continue  # the whole group falls through to the DES
-            except ReproError as exc:
-                error = exc
-            self.metrics.analytic_evals += 1
-            if result is not None and self._cache.enabled:
-                self.metrics.cache_misses += 1
-                self._cache.put(key, result, client=client)
-            self.metrics.dedup_hits += len(indices) - 1
-            for index in indices:
-                outcomes[index] = (
-                    error
-                    if error is not None
-                    else self._rebind(result, scenarios[index])
-                )
-        self.metrics.analytic_wall_s += time.perf_counter() - started
-        self.metrics.run_wall_s += time.perf_counter() - started
-        return outcomes
-
-    def _merge_des(
+    def _run_tier(
         self,
         scenarios: Sequence[Scenario],
-        outcomes: List[Optional[Outcome]],
-        confirm: List[int],
+        tier: str,
         client: Optional[str],
-    ) -> List[Outcome]:
-        """Fill/overwrite ``confirm`` slots with DES outcomes."""
-        if confirm:
-            des = self._run_batch_des(
-                [scenarios[index] for index in confirm], client=client
-            )
-            for index, outcome in zip(confirm, des):
-                outcomes[index] = outcome
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
+    ) -> List[Optional[Outcome]]:
+        """One tier's grouped pass; ``None`` marks a point it cannot cover.
 
-    def _run_batch_analytic(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Outcome]:
-        """Closed-form tier: analytic everywhere it holds, DES elsewhere."""
-        outcomes = self._analytic_outcomes(scenarios, client)
-        pending = [
-            index
-            for index, outcome in enumerate(outcomes)
-            if outcome is None
-        ]
-        return self._merge_des(scenarios, outcomes, pending, client)
-
-    def _run_batch_auto(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Outcome]:
-        """The planner tier: analytic sweep, DES confirmation of the frontier.
-
-        The analytic pass answers every point; points are then grouped
-        by :func:`scenario_group_key` (same grid point, different
-        scheme) and each group's frontier — its marginal-energy winner
-        plus any scheme within :data:`AUTO_CONFIRM_BAND` of it — is
-        re-run through the DES, along with every point the analytic tier
-        could not cover.  DES results replace the analytic answers on
-        confirmed points (their ``fidelity`` tag records the tier), so
-        the ranking the sweep reports is always DES-confirmed.
+        Points are grouped by their ``tier`` fingerprint (each point is
+        its own group when neither the cache nor dedup needs a key).
+        One cache lookup serves a whole group; each missed group's
+        canonical ordering is evaluated once, by :meth:`_simulate` for
+        the DES or :meth:`_evaluate_analytic` for the closed form.
+        Results are published hub-stripped to the cache and fanned out
+        to every member; the first member keeps the live result (with
+        its hub after an in-process serial run).  A group the analytic
+        tier cannot cover keeps ``None`` in every member's slot.
         """
-        outcomes = self._analytic_outcomes(scenarios, client)
-        confirm = [
-            index
-            for index, outcome in enumerate(outcomes)
-            if outcome is None
-        ]
-        groups: Dict[str, List[int]] = {}
+        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
+        cached = self._cache.enabled
+        keyed = cached or (self.dedup and len(scenarios) > 1)
+        members: Dict[str, List[int]] = {}
+        for index, scenario in enumerate(scenarios):
+            key = self._fingerprint(scenario, tier) if keyed else f"@{index}"
+            members.setdefault(key, []).append(index)
+        pending: List[str] = []
+        for key, indices in members.items():
+            hit = self._cache.get(key, client=client) if cached else None
+            if hit is None:
+                pending.append(key)
+                continue
+            source, result = hit
+            self._note_cache_hit(source, count=len(indices))
+            for index in indices:
+                outcomes[index] = self._rebind(result, scenarios[index])
+        evaluate = self._simulate if tier == "des" else self._evaluate_analytic
+        evaluated = evaluate(
+            [self._execution_form(scenarios[members[key][0]]) for key in pending]
+        )
+        for key, outcome in zip(pending, evaluated):
+            if outcome is None:
+                continue  # the whole group falls through to the DES
+            indices = members[key]
+            if isinstance(outcome, RunResult) and cached:
+                self.metrics.cache_misses += 1
+                self._cache.put(key, strip_hub(outcome), client=client)
+            self.metrics.dedup_hits += len(indices) - 1
+            for position, index in enumerate(indices):
+                if isinstance(outcome, RunResult):
+                    live = outcome if position == 0 else strip_hub(outcome)
+                    outcomes[index] = self._rebind(live, scenarios[index])
+                else:
+                    outcomes[index] = outcome
+        return outcomes
+
+    def _simulate(self, scenarios: List[Scenario]) -> List[Optional[Outcome]]:
+        """DES evaluator: one execution per scenario, through the backend.
+
+        A parallel backend with a single point short-circuits inline (no
+        dispatch is worth one task), which also keeps that result's live
+        hub attached.
+        """
+        if not scenarios:
+            return []
+        backend = self.backend
+        ran: Sequence[_TaskOutcome]
+        if backend.parallel and len(scenarios) == 1:
+            # run_chunk keeps error attribution identical to the
+            # dispatched path (task bugs surface as ChunkTaskError).
+            ran = run_chunk(
+                _run_task,
+                [(0, scenarios[0], self.fast_forward, False)],
+                0,
+                [_scenario_label(scenarios[0])],
+            )
+        else:
+            ran = backend.submit_batch(
+                _run_task,
+                [
+                    (position, scenario, self.fast_forward, backend.parallel)
+                    for position, scenario in enumerate(scenarios)
+                ],
+                labels=[_scenario_label(scenario) for scenario in scenarios],
+            )
+        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
+        for position, outcome, (pid, elapsed) in ran:
+            outcomes[position] = outcome
+            self.metrics.note_worker(self._worker_label(pid), elapsed)
+        self.metrics.backend_spawns = backend.spawns
+        self.metrics.backend_dispatches = backend.dispatches
+        self.metrics.backend_tasks = backend.tasks
+        self.metrics.scenarios_run += len(scenarios)
+        return outcomes
+
+    def _evaluate_analytic(
+        self, scenarios: List[Scenario]
+    ) -> List[Optional[Outcome]]:
+        """Closed-form evaluator, inline (far cheaper than any dispatch).
+
+        ``None`` marks a scenario outside the analytic envelope
+        (:class:`AnalyticUnsupported`, at the gate or mid-evaluation);
+        scheme feasibility errors are final — the analytic tier raises
+        them identically to the DES.
+        """
+        outcomes: List[Optional[Outcome]] = []
+        for scenario in scenarios:
+            outcome: Outcome
+            try:
+                outcome = analytic_scenario_result(scenario)
+            except AnalyticUnsupported:
+                outcomes.append(None)
+                continue
+            except ReproError as exc:
+                outcome = exc
+            self.metrics.analytic_evals += 1
+            outcomes.append(outcome)
+        return outcomes
+
+    @staticmethod
+    def _frontier(
+        scenarios: Sequence[Scenario], outcomes: Sequence[Optional[Outcome]]
+    ) -> List[int]:
+        """The ``"auto"`` planner's DES-confirmation frontier.
+
+        Analytic answers are grouped by :func:`scenario_group_key` (same
+        grid point, different scheme); each group's frontier is its
+        marginal-energy winner plus any scheme within
+        :data:`AUTO_CONFIRM_BAND` of it.  DES results replace the
+        analytic answers on these points, so the ranking a sweep reports
+        is always DES-confirmed.
+        """
+        groups: Dict[str, List[Tuple[int, float]]] = {}
         for index, outcome in enumerate(outcomes):
             if isinstance(outcome, RunResult):
                 groups.setdefault(
                     scenario_group_key(scenarios[index]), []
-                ).append(index)
+                ).append((index, outcome.energy.marginal_j))
         frontier: List[int] = []
-        for indices in groups.values():
-            best = min(
-                outcomes[index].energy.marginal_j for index in indices
-            )
+        for answered in groups.values():
+            best = min(marginal for _index, marginal in answered)
             cutoff = best * (1.0 + AUTO_CONFIRM_BAND)
             frontier.extend(
-                index
-                for index in indices
-                if outcomes[index].energy.marginal_j <= cutoff
+                index for index, marginal in answered if marginal <= cutoff
             )
-        self.metrics.frontier_points += len(frontier)
-        confirm.extend(frontier)
-        self.metrics.des_confirmations += len(confirm)
-        return self._merge_des(scenarios, outcomes, confirm, client)
+        return frontier
 
     def run_many(
         self,

@@ -9,6 +9,7 @@ modelled by the firmware layer, not here.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
@@ -133,9 +134,10 @@ class SensorDevice:
         """Deterministic pseudo-random availability-check outcome."""
         if self.failure_rate <= 0.0:
             return False
-        noise = pseudo_noise(
-            self.read_count + attempt * 0.137, seed=hash(self.spec.sensor_id) % 997
-        )
+        # crc32, not hash(): str hashes change with PYTHONHASHSEED, so
+        # every interpreter would draw different failures.
+        seed = zlib.crc32(self.spec.sensor_id.encode("utf-8")) % 997
+        noise = pseudo_noise(self.read_count + attempt * 0.137, seed=seed)
         return (noise + 1.0) / 2.0 < self.failure_rate
 
     def acquire(self, routine: str = Routine.DATA_COLLECTION) -> Generator:

@@ -200,7 +200,7 @@ def test_two_engines_share_one_cache_dir(tmp_path):
     second = ScenarioEngine(cache_dir=tmp_path)
     cold = first.run(scenario)
     hit = second.run(scenario)
-    assert first.cache_misses == 1
+    assert first.metrics.cache_misses == 1
     assert second.metrics.cache_disk_hits == 1
     assert hit.energy.total_j == cold.energy.total_j
 

@@ -52,8 +52,8 @@ def test_cached_engine_hit_matches_cold_run(tmp_path):
     engine = ScenarioEngine(cache_dir=tmp_path)
     cold = engine.run(Scenario.of(["A2"], scheme="batching"))
     hit = engine.run(Scenario.of(["A2"], scheme="batching"))
-    assert engine.cache_misses == 1
-    assert engine.cache_hits == 1
+    assert engine.metrics.cache_misses == 1
+    assert engine.metrics.cache_hits == 1
     assert hit.energy.total_j == cold.energy.total_j
     assert hit.duration_s == cold.duration_s
     assert hit.interrupt_count == cold.interrupt_count

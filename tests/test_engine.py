@@ -1,10 +1,14 @@
 """Tests for the scenario engine: fingerprints, disk cache, fan-out."""
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.calibration import default_calibration
 from repro.core import (
     Scenario,
@@ -16,7 +20,7 @@ from repro.core import (
     run_sweep,
     scenario_fingerprint,
 )
-from repro.errors import OffloadError
+from repro.errors import ChunkTaskError, OffloadError
 from repro.sensors.synthetic import ConstantWaveform
 
 
@@ -122,7 +126,7 @@ def test_cache_survives_engine_instances(tmp_path):
     cold = first.run(Scenario.of(["A2"], scheme=Scheme.COM))
     second = ScenarioEngine(cache_dir=tmp_path)
     hit = second.run(Scenario.of(["A2"], scheme=Scheme.COM))
-    assert second.cache_hits == 1
+    assert second.metrics.cache_hits == 1
     assert hit.energy.total_j == cold.energy.total_j
 
 
@@ -137,7 +141,7 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
     rerun_engine = ScenarioEngine(cache_dir=tmp_path)
     rerun = rerun_engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
     assert rerun.results_ok
-    assert rerun_engine.cache_misses == 1
+    assert rerun_engine.metrics.cache_misses == 1
     with open(entry, "rb") as handle:
         assert pickle.load(handle)["result"].results_ok
 
@@ -145,7 +149,7 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
 def test_engine_without_cache_never_touches_disk(tmp_path):
     engine = ScenarioEngine()
     engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
-    assert engine.cache_hits == engine.cache_misses == 0
+    assert engine.metrics.cache_hits == engine.metrics.cache_misses == 0
     assert list(tmp_path.iterdir()) == []
 
 
@@ -198,9 +202,9 @@ def test_sweep_fills_from_cache(tmp_path):
     grid = grid_of(scheme=[Scheme.BASELINE, Scheme.BATCHING])
     engine = ScenarioEngine(cache_dir=tmp_path)
     first = run_sweep(grid, factory, engine=engine)
-    assert engine.cache_misses == 2
+    assert engine.metrics.cache_misses == 2
     second = run_sweep(grid, factory, engine=engine)
-    assert engine.cache_hits == 2
+    assert engine.metrics.cache_hits == 2
     for one, two in zip(first, second):
         assert one.result.energy.total_j == two.result.energy.total_j
 
@@ -213,7 +217,7 @@ def test_second_engine_hits_disk_then_memory(tmp_path):
     engine.run(scenario)  # memory hit
     assert engine.metrics.cache_disk_hits == 1
     assert engine.metrics.cache_memory_hits == 1
-    assert engine.cache_hits == 2
+    assert engine.metrics.cache_hits == 2
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +228,7 @@ def test_batch_dedups_permuted_points_bit_identically():
     rev = Scenario.of(["A5", "A4"], scheme=Scheme.BEAM)
     engine = ScenarioEngine()
     first, second = engine.run_batch([fwd, rev])
-    assert engine.dedup_hits == 1
+    assert engine.metrics.dedup_hits == 1
     assert engine.metrics.scenarios_run == 1
     # Each point keeps its own presentational identity...
     assert first.scenario_name == fwd.name
@@ -252,7 +256,7 @@ def test_dedup_disabled_runs_each_permutation():
     rev = Scenario.of(["A5", "A4"], scheme=Scheme.BEAM)
     engine = ScenarioEngine(dedup=False)
     first, second = engine.run_batch([fwd, rev])
-    assert engine.dedup_hits == 0
+    assert engine.metrics.dedup_hits == 0
     assert engine.metrics.scenarios_run == 2
     # As-given execution order: results legitimately differ from the
     # canonical ordering's (this is why dedup re-executes canonically).
@@ -269,7 +273,7 @@ def test_failure_injection_points_never_dedup():
     )
     engine = ScenarioEngine()
     engine.run_batch([fwd, rev])
-    assert engine.dedup_hits == 0
+    assert engine.metrics.dedup_hits == 0
     assert engine.metrics.scenarios_run == 2
 
 
@@ -321,3 +325,116 @@ def test_engine_cache_max_bytes_evicts_after_runs(tmp_path):
     engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
     # The post-run GC pass evicted everything (cap is zero bytes).
     assert list(tmp_path.rglob("*.pkl")) == []
+
+
+def test_analytic_batch_honors_cache_max_bytes(tmp_path):
+    # The eviction pass runs after every batch, whatever the tier: an
+    # analytic-only batch (no DES fallback) must not skip it.
+    engine = ScenarioEngine(
+        cache_dir=tmp_path, cache_max_bytes=0, fidelity="analytic"
+    )
+    outcomes = engine.run_batch(
+        [
+            Scenario.of(["A2"], scheme=Scheme.BASELINE),
+            Scenario.of(["A3"], scheme=Scheme.BATCHING),
+        ]
+    )
+    assert [outcome.fidelity for outcome in outcomes] == ["analytic"] * 2
+    assert engine.metrics.scenarios_run == 0
+    assert list(tmp_path.rglob("*.pkl")) == []
+
+
+# ----------------------------------------------------------------------
+# run() is run_batch() of one point
+# ----------------------------------------------------------------------
+def _counters(engine):
+    """The engine's metrics without the wall-clock readings."""
+    return {
+        name: value
+        for name, value in engine.metrics.snapshot().items()
+        if not name.endswith(("_wall_s", "_per_sec"))
+    }
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+@pytest.mark.parametrize("fidelity", ["des", "analytic", "auto"])
+def test_run_is_run_batch_of_one(tmp_path, fidelity, cached):
+    def engine_for(name):
+        cache_dir = tmp_path / name if cached else None
+        return ScenarioEngine(
+            cache_dir=cache_dir, backend="serial", fidelity=fidelity
+        )
+
+    def scenario():
+        # Fresh apps per run: app instances count across the runs they
+        # take part in, so one Scenario object must not run twice.
+        return Scenario.of(["A5", "A4"], scheme=Scheme.BEAM)
+
+    single, batched = engine_for("single"), engine_for("batched")
+    one = single.run(scenario())
+    (other,) = batched.run_batch([scenario()])
+    assert dataclasses.replace(one, hub=None) == dataclasses.replace(
+        other, hub=None
+    )
+    # The serial backend keeps the live hub on DES answers; the closed
+    # form has none.  Under auto, a lone point is its own frontier.
+    assert (one.hub is None) == (fidelity == "analytic")
+    assert (other.hub is None) == (fidelity == "analytic")
+    assert _counters(single) == _counters(batched)
+
+    infeasible = Scenario.of(["A11"], scheme=Scheme.COM)
+    with pytest.raises(OffloadError):
+        single.run(infeasible)
+    (error,) = batched.run_batch([infeasible])
+    assert isinstance(error, OffloadError)
+    assert _counters(single) == _counters(batched)
+
+
+def test_run_reports_non_library_bugs_as_chunk_task_errors(monkeypatch):
+    # run() goes through the backend like run_batch(), so a bug in the
+    # evaluator is attributed to the scenario that hit it.
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("repro.core.engine.execute_scenario", broken)
+    engine = ScenarioEngine(backend="serial")
+    with pytest.raises(ChunkTaskError, match="boom"):
+        engine.run(Scenario.of(["A2"], scheme=Scheme.BASELINE))
+
+
+_FAILURE_RUN = """
+from repro.core import Scenario, Scheme
+from repro.core.schemes.base import build_context
+scenario = Scenario.of(
+    ["A2"], scheme=Scheme.BASELINE, sensor_failure_rates={"S4": 0.25}
+)
+ctx = build_context(scenario)
+ctx.hub.run()
+result = ctx.collect(max(ctx.hub.sim.now, scenario.horizon_s))
+print(repr(result.energy.total_j), ctx.steady_counters()["sensor.S4.failed"])
+"""
+
+
+#: Where the imported ``repro`` package lives, for the subprocesses.
+_SRC_DIR = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def test_failure_injection_is_independent_of_hash_seed():
+    # Failure draws must not depend on str hashing, or two interpreters
+    # compute (and cache) different energy for one fingerprint.
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [_SRC_DIR, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _FAILURE_RUN],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(completed.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0][1]) > 0  # failures were actually injected

@@ -289,8 +289,8 @@ class TestEngineMetrics:
         engine = ScenarioEngine(cache_dir=tmp_path)
         engine.run(small_scenario())
         engine.run(small_scenario())
-        assert engine.cache_misses == 1
-        assert engine.cache_hits == 1
+        assert engine.metrics.cache_misses == 1
+        assert engine.metrics.cache_hits == 1
         assert engine.metrics.fingerprint_wall_s > 0.0
         assert engine.metrics.scenarios_run == 1
 
